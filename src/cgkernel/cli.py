@@ -24,14 +24,21 @@ from .words import format_word, parse_word
 ENV_MAX_COSETS = "CGKERNEL_MAX_COSETS"
 
 
-def _default_max_cosets() -> int:
-    raw = os.environ.get(ENV_MAX_COSETS)
-    if raw is None:
-        return 100_000
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"bad {ENV_MAX_COSETS} value: {raw!r}")
+def _max_cosets(flag: int | None) -> int:
+    """The coset limit: --max-cosets, else $CGKERNEL_MAX_COSETS, else 100000."""
+    if flag is not None:
+        limit = flag
+    else:
+        raw = os.environ.get(ENV_MAX_COSETS)
+        if raw is None:
+            return 100_000
+        try:
+            limit = int(raw)
+        except ValueError:
+            raise ValueError(f"bad {ENV_MAX_COSETS} value: {raw!r}") from None
+    if limit < 1:
+        raise ValueError(f"coset limit must be at least 1, got {limit}")
+    return limit
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,7 +102,7 @@ def _cmd_verify(args) -> int:
         if not any(fnmatch.fnmatch(cid, pat) for cid in CHECK_IDS):
             print(f"unknown check id or pattern: {pat}", file=sys.stderr)
             return 2
-    cfg = Config(max_cosets=args.max_cosets or _default_max_cosets(),
+    cfg = Config(max_cosets=_max_cosets(args.max_cosets),
                  check_filter=patterns,
                  output="json" if args.json else "text",
                  seed=args.seed)
@@ -134,7 +141,7 @@ def _cmd_tc(args) -> int:
     with open(args.presentation, encoding="utf-8") as fh:
         pres = parse_presentation(fh.read())
     subgens = [pres.word(chunk.strip()) for chunk in args.subgroup.split(",") if chunk.strip()]
-    ct = todd_coxeter(pres, subgens, args.max_cosets or _default_max_cosets())
+    ct = todd_coxeter(pres, subgens, _max_cosets(args.max_cosets))
     print(f"index: {ct.index}")
     if args.ab:
         print(f"abelianization: {abelianization(reidemeister_schreier(ct))}")

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from fractions import Fraction
+from heapq import heappop, heappush
+from itertools import compress
+from math import gcd
 from typing import Iterable, Sequence
 
 from .words import FreeHom, Word, parse_word, format_word, SemidirectElement
@@ -21,7 +23,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Iterable[int]], cols: int | None = None):
-        rows = tuple(tuple(entry for entry in row) for row in data)
+        rows = tuple(map(tuple, data))
         if rows:
             ncols = len(rows[0])
         else:
@@ -29,9 +31,10 @@ class IntMatrix:
         for row in rows:
             if len(row) != ncols:
                 raise ValueError("ragged rows")
-            for entry in row:
-                if not isinstance(entry, int):
-                    raise ValueError(f"non-integer entry {entry!r}")
+            # exact type test: bool is an int subclass but no matrix entry
+            if not {int}.issuperset(map(type, row)):
+                bad = next(entry for entry in row if type(entry) is not int)
+                raise ValueError(f"non-integer entry {bad!r}")
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "data", rows)
@@ -253,11 +256,78 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 def cokernel(a: IntMatrix) -> AbelianStructure:
-    """Structure of Z^cols / (row space of A)."""
-    d, _, _ = smith_normal_form(a)
-    diag = [d[i, i] for i in range(min(d.rows, d.cols))]
-    nonzero = [x for x in diag if x != 0]
-    return AbelianStructure(a.cols - len(nonzero), tuple(x for x in nonzero if x > 1))
+    """Structure of Z^cols / (row space of A).
+
+    Relation matrices from Reidemeister-Schreier are tall, sparse and full of
+    +-1 entries, so the rows are kept sparse and unit pivots are eliminated
+    first, each time the one of lowest Markowitz cost (row nonzeros - 1) *
+    (column nonzeros - 1).  A pivot A[r][c] = +-1 says generator c equals a
+    combination of the others: clearing column c from the other rows with row
+    r and then dropping row r and column c leaves the quotient unchanged
+    (Havas, Holt and Rees, "Recognizing badly presented Z-modules", 1993).
+    Only the rows left once no unit entry remains go to smith_normal_form.
+    """
+    span = tuple(range(a.cols))  # a tuple hands out its ints without allocating
+    rows: dict[int, dict[int, int]] = {}  # row index -> {column: nonzero entry}
+    where: dict[int, set[int]] = {j: set() for j in span}  # column -> row indexes
+    for i, row in enumerate(a.data):
+        entries = {j: row[j] for j in compress(span, row)}
+        if entries:
+            rows[i] = entries
+            for j in entries:
+                where[j].add(i)
+    heap: list[tuple[int, int, int]] = []
+
+    def push(i: int, j: int, x: int) -> None:
+        if x == 1 or x == -1:
+            heappush(heap, ((len(rows[i]) - 1) * (len(where[j]) - 1), i, j))
+
+    for i, row in rows.items():
+        for j, x in row.items():
+            push(i, j, x)
+    while heap:
+        cost, r, c = heappop(heap)
+        row = rows.get(r)
+        x = row.get(c) if row is not None else None
+        if x != 1 and x != -1:
+            continue  # stale: the row is gone or the entry changed
+        now = (len(row) - 1) * (len(where[c]) - 1)
+        if now != cost:  # the row or column changed size since the push
+            heappush(heap, (now, r, c))
+            continue
+        del rows[r]
+        for j in row:
+            where[j].discard(r)
+        for i in where.pop(c):
+            other = rows[i]
+            f = other.pop(c) * x  # other -= f * row clears column c
+            for j, y in row.items():
+                if j == c:
+                    continue
+                v = other.get(j, 0) - f * y
+                if v:
+                    if j not in other:
+                        where[j].add(i)
+                    other[j] = v
+                else:
+                    del other[j]
+                    where[j].discard(i)
+            if not other:
+                del rows[i]
+        # every column of the pivot row lost entries, so the cost of each
+        # unit entry left in those columns may have dropped
+        for j in row:
+            if j != c:
+                for i in where[j]:
+                    push(i, j, rows[i][j])
+    live = sorted(j for j, rs in where.items() if rs)
+    nonzero: list[int] = []
+    if rows:
+        d, _, _ = smith_normal_form(
+            IntMatrix(tuple(tuple(row.get(j, 0) for j in live) for row in rows.values()),
+                      cols=len(live)))
+        nonzero = [x for x in (d[i, i] for i in range(min(d.rows, d.cols))) if x]
+    return AbelianStructure(len(where) - len(nonzero), tuple(x for x in nonzero if x > 1))
 
 
 def _stack_differences(mats: Sequence[IntMatrix], r: int) -> IntMatrix:
@@ -276,19 +346,24 @@ def coinvariants(mats: Sequence[IntMatrix], r: int) -> AbelianStructure:
 
 
 def rank_q(a: IntMatrix) -> int:
-    """Rank over Q by exact fraction elimination (independent of the SNF path)."""
-    rows = [[Fraction(x) for x in row] for row in a.data]
+    """Rank over Q by fraction-free Gaussian elimination: each row below the
+    pivot is cross-multiplied with the pivot row, then divided by the gcd of
+    its entries.  Shares no code with the SNF path, which it cross-checks."""
+    rows = [list(row) for row in a.data if any(row)]
     rank = 0
     for col in range(a.cols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / prow[col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
+        p, tail = rows[rank][col], rows[rank][col:]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                # rows at or below the pivot are zero left of col
+                new = [p * x - f * y for x, y in zip(rows[i][col:], tail)]
+                g = gcd(*new)
+                rows[i][col:] = [x // g for x in new] if g > 1 else new
         rank += 1
     return rank
 

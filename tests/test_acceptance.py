@@ -14,13 +14,15 @@ from cgkernel.checks import (APQ_ACTION_TABLE, APQ_MATRIX_TABLE, CF_IMAGE_TABLE,
                              CHECK_IDS, ELL_IDENTITY_TABLE, ELL_PSI_TABLE,
                              ELL_THETA4_TABLE, ST_WORD_TABLE, THETA_IMAGE_TABLE,
                              XI_IMAGE_TABLE, Config, run_all, run_check)
-from cgkernel.intlin import IntMatrix, eval_st, hom_matrix, rank_q, sl2_word
+from cgkernel import intlin
+from cgkernel.intlin import (AbelianStructure, IntMatrix, cokernel, eval_st, hom_matrix,
+                             rank_q, sl2_word, smith_normal_form)
 from cgkernel.perms import Permutation, parse_cycles
 from cgkernel.subgroups import expand, from_quotient, rewrite
 from cgkernel.words import FreeHom, Word, compose
 
 from test_braids import rand_braid, rand_relator_product
-from test_intlin import assert_valid_snf, rand_matrix
+from test_intlin import assert_valid_snf, rand_matrix, rand_sparse_matrix
 from test_words import rand_semidirect
 
 
@@ -157,13 +159,30 @@ class TestCriterion7PropertySuites:
             agreements += 1
         report(7.3, f"Garside vs handle-reduction agreement ({agreements} pairs)", True)
 
-    def test_smith_normal_form_properties(self):
+    def test_smith_normal_form_properties(self, monkeypatch):
         rng = random.Random(103)
-        for _ in range(1000):
-            assert_valid_snf(rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)))
-        for size in (15, 20):
-            assert_valid_snf(rand_matrix(rng, size, size))
-        report(7.4, "SNF factorization and divisibility (1000+ cases)", True)
+        cases = [rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)) for _ in range(1000)]
+        cases += [rand_matrix(rng, size, size) for size in (15, 20)]
+        sparse = [rand_sparse_matrix(rng, rng.randint(55, 65), rng.randint(27, 33))
+                  for _ in range(20)]
+        remainders = []
+
+        def recording_snf(m):
+            remainders.append(m)
+            return smith_normal_form(m)
+
+        monkeypatch.setattr(intlin, "smith_normal_form", recording_snf)
+        both_phases = 0
+        for a in cases + sparse:
+            d = assert_valid_snf(a)
+            diag = [x for x in (d[i, i] for i in range(min(d.rows, d.cols))) if x]
+            remainders.clear()
+            assert cokernel(a) == AbelianStructure(a.cols - len(diag),
+                                                   tuple(x for x in diag if x > 1))
+            both_phases += a in sparse and any(0 < m.cols < a.cols for m in remainders)
+        # unit pivots shrank every tall sparse case, leaving a dense remainder
+        assert both_phases == len(sparse)
+        report(7.4, "SNF factorization, divisibility and cokernel (1000+ cases)", True)
 
     def test_sl2_word_round_trip(self):
         rng = random.Random(104)

@@ -24,6 +24,17 @@ def run_cli(capsys, *argv):
 
 
 class TestVerify:
+    def test_malformed_env_var_limit_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("CGKERNEL_MAX_COSETS", "abc")
+        code, _, err = run_cli(capsys, "verify", "--check", "sl2.sanov_index12")
+        assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_nonpositive_limit_is_usage_error(self, capsys, limit):
+        code, _, err = run_cli(capsys, "verify", "--check", "sl2.sanov_index12",
+                               "--max-cosets", limit)
+        assert code == 2 and err.startswith("error:")
+
     def test_single_check(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--check", "k4.b1_5")
         assert code == 0
@@ -143,6 +154,10 @@ class TestLinearAlgebra:
     def test_snf_parse_error(self, capsys):
         code, _, err = run_cli(capsys, "snf", "[[1,2],[3]]")
         assert code == 2
+
+    def test_snf_rejects_bool_entries(self, capsys):
+        code, out, err = run_cli(capsys, "snf", "[[True,2],[3,4]]")
+        assert code == 2 and out == "" and "True" in err
 
 
 class TestSubgroup:

@@ -159,6 +159,18 @@ class TestReidemeisterSchreier:
                                        [q(t) for t in transpositions()])
         assert abelianization(reidemeister_schreier(ct)) == AbelianStructure(2, (2, 2, 2))
 
+    def test_regular_kernel_of_s6_is_trivial(self):
+        # Coxeter presentation of S_6: s_i^2, (s_i s_i+1)^3, (s_i s_j)^2 for
+        # |i - j| > 1; the regular kernel's relation matrix is 10800 x 2881
+        letters = [[(i, 1), (i, 1)] for i in range(1, 6)]
+        letters += [[(i, 1), (j, 1)] * (3 if j == i + 1 else 2)
+                    for i in range(1, 6) for j in range(i + 1, 6)]
+        pres = Presentation(5, tuple(Word(5, w) for w in letters))
+        images = [Permutation.transposition(6, i, i + 1) for i in range(1, 6)]
+        sub = reidemeister_schreier(coset_table_from_quotient(pres, images))
+        assert (len(sub.relators), sub.ngens) == (10800, 2881)
+        assert abelianization(sub) == AbelianStructure(0)
+
     def test_rewrite_round_trip_through_schreier_generators(self):
         pres = sl2z_presentation()
         ct = todd_coxeter(pres, [pres.word("t t"), pres.word("t s t t s t")])

@@ -1,6 +1,8 @@
 """Smith normal form, cokernels, coinvariants, and SL(2,Z) words."""
 
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -23,6 +25,30 @@ RESTRICTED_STABILIZER_MATS = [
 def rand_matrix(rng, rows, cols, bound=9):
     return IntMatrix(tuple(tuple(rng.randint(-bound, bound) for _ in range(cols))
                            for _ in range(rows)))
+
+
+def rand_sparse_matrix(rng, rows, cols, bound=3):
+    """Tall sparse relation matrices like Reidemeister-Schreier's: 2-6 nonzero
+    entries per row, drawn from [-bound, bound]."""
+    data = []
+    for _ in range(rows):
+        row = [0] * cols
+        for j in rng.sample(range(cols), rng.randint(2, 6)):
+            row[j] = rng.choice([x for x in range(-bound, bound + 1) if x])
+        data.append(tuple(row))
+    return IntMatrix(data, cols=cols)
+
+
+def determinantal_divisors(a):
+    """[D_0, D_1, ...]: D_k is the gcd of all k x k minors of A."""
+    out = [1]
+    for k in range(1, min(a.rows, a.cols) + 1):
+        g = 0
+        for rs in combinations(range(a.rows), k):
+            for cs in combinations(range(a.cols), k):
+                g = gcd(g, IntMatrix(tuple(tuple(a[i, j] for j in cs) for i in rs)).det())
+        out.append(g)
+    return out
 
 
 def assert_valid_snf(a):
@@ -85,6 +111,25 @@ class TestCokernel:
     def test_torsion_chain_order(self):
         structure = cokernel(IntMatrix(((4, 0), (0, 6))))
         assert structure == AbelianStructure(0, (2, 12))
+
+    def test_determinantal_divisors(self):
+        # invariant factors are D_k / D_(k-1), and the rank over Q is the
+        # largest k with D_k != 0: an oracle sharing no code with
+        # cokernel, smith_normal_form or rank_q
+        rng = random.Random(6)
+        for _ in range(150):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            bound = rng.choice((1, 2, 5))
+            if rng.random() < 0.5:
+                a = rand_matrix(rng, rows, cols, bound)
+            else:  # product through an inner size <= min(rows, cols): often rank deficient
+                inner = rng.randint(1, min(rows, cols))
+                a = rand_matrix(rng, rows, inner, bound) * rand_matrix(rng, inner, cols, bound)
+            dk = determinantal_divisors(a)
+            rank = max(k for k, x in enumerate(dk) if x)
+            factors = tuple(dk[k] // dk[k - 1] for k in range(1, rank + 1))
+            assert rank_q(a) == rank
+            assert cokernel(a) == AbelianStructure(cols - rank, tuple(f for f in factors if f > 1))
 
 
 class TestCoinvariantsAndInvariants:
