@@ -10,6 +10,7 @@ rank-2 normal free subgroup <s1 s3^-1, s2 s1 s3^-1 s2^-1>.
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Iterable, Sequence
 
 from .perms import Permutation
@@ -75,10 +76,7 @@ class BraidWord:
     def __pow__(self, k: int) -> "BraidWord":
         if k < 0:
             return self.inverse() ** (-k)
-        out = BraidWord.identity(self.n)
-        for _ in range(k):
-            out = out * self
-        return out
+        return BraidWord(self.n, self.letters * k)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -146,7 +144,7 @@ def f2_word(n: int = 4) -> tuple[BraidWord, BraidWord]:
 def parse_braid(text: str, n: int) -> BraidWord:
     """Parse ``s1 s2^-1 ...``; also expands the named abbreviations
     A12..A56 (pure generators), l2 l3 l4 (B_4 only), Delta, and center."""
-    out = BraidWord.identity(n)
+    letters: list[Letter] = []
     for token in text.split():
         base, _, exp_part = token.partition("^")
         exp = 1
@@ -171,8 +169,8 @@ def parse_braid(text: str, n: int) -> BraidWord:
             piece = delta_word(n) ** 2
         else:
             raise ValueError(f"unknown braid token {base!r}")
-        out = out * piece ** exp
-    return out
+        letters += (piece ** exp).letters
+    return BraidWord(n, letters)
 
 
 def format_braid(w: BraidWord) -> str:
@@ -189,35 +187,53 @@ def format_braid(w: BraidWord) -> str:
 # notation and the finishing set is the descent set of the inverse; a pair
 # (x, y) is left-weighted exactly when every starting generator of y already
 # finishes x.
+#
+# The computation runs on integer codes of the n! permutation braids (the
+# lexicographic rank of the one-line notation, so 0 is the identity and n!-1
+# the half twist), looked up in one table per strand count.
 
 
-def _starting_set(p: Permutation) -> list[int]:
-    return [i for i in range(1, p.n) if p(i) > p(i + 1)]
+class _SimpleTable:
+    """Products with the generators and starting/finishing bitmasks (bit i
+    for s_i) of the permutation braids of B_n, indexed by code."""
+
+    __slots__ = ("perms", "code", "right", "left", "start", "finish", "delta")
+
+    def __init__(self, n: int):
+        perms = list(permutations(range(1, n + 1)))
+        code = {p: c for c, p in enumerate(perms)}
+        right, left, start, finish = [], [], [], []
+        for p in perms:
+            pos = [0] * (n + 1)  # pos[v]: 0-based position of value v
+            for k, v in enumerate(p):
+                pos[v] = k
+            x_s, s_x = [0] * n, [0] * n
+            for i in range(1, n):
+                # x * s_i swaps the values i, i+1; s_i * x swaps positions i, i+1
+                m = list(p)
+                m[pos[i]], m[pos[i + 1]] = i + 1, i
+                x_s[i] = code[tuple(m)]
+                m = list(p)
+                m[i - 1], m[i] = m[i], m[i - 1]
+                s_x[i] = code[tuple(m)]
+            right.append(x_s)
+            left.append(s_x)
+            start.append(sum(1 << i for i in range(1, n) if p[i - 1] > p[i]))
+            finish.append(sum(1 << i for i in range(1, n) if pos[i] > pos[i + 1]))
+        self.perms, self.code = perms, code
+        self.right, self.left = right, left
+        self.start, self.finish = start, finish
+        self.delta = len(perms) - 1
 
 
-def _finishing_set(p: Permutation) -> set[int]:
-    inv = p.inverse()
-    return {i for i in range(1, p.n) if inv(i) > inv(i + 1)}
+_SIMPLE_TABLES: dict[int, _SimpleTable] = {}
 
 
-def _left_mult(p: Permutation, i: int) -> Permutation:
-    # permutation of s_i * x
-    return Permutation.transposition(p.n, i, i + 1) * p
-
-
-def _right_mult(p: Permutation, i: int) -> Permutation:
-    # permutation of x * s_i
-    return p * Permutation.transposition(p.n, i, i + 1)
-
-
-def _delta_perm(n: int) -> Permutation:
-    return Permutation(range(n, 0, -1))
-
-
-def _tau(p: Permutation) -> Permutation:
-    # conjugation by the half twist; an involution on permutations
-    n = p.n
-    return Permutation(tuple(n + 1 - p(n + 1 - i) for i in range(1, n + 1)))
+def _simples(n: int) -> _SimpleTable:
+    table = _SIMPLE_TABLES.get(n)
+    if table is None:
+        table = _SIMPLE_TABLES[n] = _SimpleTable(n)
+    return table
 
 
 class GarsideNormalForm:
@@ -228,7 +244,7 @@ class GarsideNormalForm:
 
     def __init__(self, n: int, delta_power: int, factors: Sequence[Permutation]):
         factors = tuple(factors)
-        delta = _delta_perm(n)
+        delta = Permutation(range(n, 0, -1))
         for f in factors:
             if f.n != n:
                 raise ValueError("factor degree mismatch")
@@ -260,76 +276,75 @@ class GarsideNormalForm:
         return f"GarsideNormalForm(n={self.n}, Delta^{self.delta_power}, {len(self.factors)} factors)"
 
     def to_braid_word(self) -> BraidWord:
-        out = delta_word(self.n) ** self.delta_power
+        letters = list((delta_word(self.n) ** self.delta_power).letters)
         for f in self.factors:
-            out = out * _perm_braid_word(f)
-        return out
+            letters += _perm_letters(f)
+        return BraidWord(self.n, letters)
 
     def factor_words(self) -> list[BraidWord]:
         """Each permutation-braid factor as a positive word."""
-        return [_perm_braid_word(f) for f in self.factors]
+        return [BraidWord(f.n, _perm_letters(f)) for f in self.factors]
 
 
-def _perm_braid_word(p: Permutation) -> BraidWord:
+def _perm_letters(p: Permutation) -> list[Letter]:
+    # peel off the lowest starting generator until the identity is left
+    t = _simples(p.n)
     letters = []
-    q = p
-    while not q.is_identity():
-        i = min(_starting_set(q))
+    c = t.code[p.mapping]
+    while c:
+        start = t.start[c]
+        i = (start & -start).bit_length() - 1
         letters.append((i, 1))
-        q = _left_mult(q, i)
-    return BraidWord(p.n, letters)
+        c = t.left[c][i]
+    return letters
 
 
 def normal_form(w: BraidWord) -> GarsideNormalForm:
-    """Left-greedy normal form.  Negative letters enter as Delta^-1 times the
-    complementary permutation braid; factors are then repeatedly left-weighted
-    by transferring starting generators of each factor into its predecessor.
+    """Left-greedy normal form.
+
+    The word is rewritten as Delta^-N times one permutation braid per letter,
+    N being the number of negative letters: s_i stays s_i and s_i^-1 becomes
+    Delta * s_i^-1, each conjugated by Delta when an odd number of negative
+    letters follows it.  The factors are kept left-weighted as they are
+    appended: a single right-to-left pass transfers starting generators of
+    each factor into its predecessor and stops at the first pair that is
+    already left-weighted.  Half twists that reach the front join the power.
     """
     n = w.n
-    delta = _delta_perm(n)
-    power = 0
-    factors: list[Permutation] = []
+    t = _simples(n)
+    right, left, start, finish = t.right, t.left, t.start, t.finish
+    delta = t.delta
+    after = sum(1 for _, sign in w.letters if sign < 0)  # negative letters still to come
+    power = -after
+    factors: list[int] = []
+    lo = 0  # factors[:lo] are half twists already counted in power
     for idx, sign in w.letters:
-        if sign == 1:
-            factors.append(Permutation.transposition(n, idx, idx + 1))
-        else:
-            power -= 1
-            factors = [_tau(f) for f in factors]
-            factors.append(_right_mult(delta, idx))  # permutation of Delta * s_idx^-1
-
-    changed = True
-    while changed:
-        changed = False
-        j = 0
-        while j < len(factors):
-            f = factors[j]
-            if f.is_identity():
-                del factors[j]
-                changed = True
-                continue
-            if f == delta:
-                del factors[j]
-                factors[:j] = [_tau(x) for x in factors[:j]]
-                power += 1
-                changed = True
-                continue
-            if j + 1 < len(factors):
-                x, y = factors[j], factors[j + 1]
-                moved = False
-                while True:
-                    fin = _finishing_set(x)
-                    todo = [i for i in _starting_set(y) if i not in fin]
-                    if not todo:
-                        break
-                    i = todo[0]
-                    x = _right_mult(x, i)
-                    y = _left_mult(y, i)
-                    moved = True
-                if moved:
-                    factors[j], factors[j + 1] = x, y
-                    changed = True
-            j += 1
-    return GarsideNormalForm(n, power, factors)
+        if sign < 0:
+            after -= 1
+        if after & 1:
+            idx = n - idx  # conjugation by Delta swaps s_i and s_(n-i)
+        y = left[0][idx] if sign > 0 else right[delta][idx]  # s_idx or Delta * s_idx^-1
+        factors.append(y)
+        j = len(factors) - 1
+        while j > lo:
+            x = factors[j - 1]
+            todo = start[y] & ~finish[x]
+            if not todo:
+                break
+            while todo:
+                i = (todo & -todo).bit_length() - 1
+                x, y = right[x][i], left[y][i]
+                todo = start[y] & ~finish[x]
+            factors[j] = y
+            j -= 1
+            factors[j] = y = x
+        if not factors[-1]:
+            factors.pop()
+        if lo < len(factors) and factors[lo] == delta:
+            lo += 1
+            power += 1
+    perms = t.perms
+    return GarsideNormalForm(n, power, [Permutation(perms[c]) for c in factors[lo:]])
 
 
 def braid_equal(u: BraidWord, v: BraidWord) -> bool:

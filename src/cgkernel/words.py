@@ -69,10 +69,7 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        out = Word.identity(self.rank)
-        for _ in range(n):
-            out = out * self
-        return out
+        return Word(self.rank, self.letters * n)
 
     def conjugate(self, by: "Word") -> "Word":
         """by * self * by^-1."""

@@ -2,6 +2,8 @@
 and the conjugation action on the rank-2 normal subgroup of B_4."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -20,9 +22,34 @@ def b(text, n=4):
     return parse_braid(text, n)
 
 
-def rand_braid(rng, n, max_len=16):
-    return BraidWord(n, [(rng.randint(1, n - 1), rng.choice((1, -1)))
-                         for _ in range(rng.randint(0, max_len))])
+def rand_braid(rng, n, max_len=16, min_len=0, positive=False):
+    signs = (1,) if positive else (1, -1)
+    return BraidWord(n, [(rng.randint(1, n - 1), rng.choice(signs))
+                         for _ in range(rng.randint(min_len, max_len))])
+
+
+def relation_rewrite(rng, word, moves):
+    """The same braid spelled differently, by random moves
+    s_i^e s_j^f -> s_j^f s_i^e (|i-j| >= 2) and
+    s_i^e s_j^e s_i^e -> s_j^e s_i^e s_j^e (|i-j| = 1)."""
+    ls = list(word.letters)
+    for _ in range(moves):
+        k = rng.randrange(len(ls) - 2)
+        (i, e), (j, f), (h, g) = ls[k:k + 3]
+        if abs(i - j) >= 2:
+            ls[k], ls[k + 1] = ls[k + 1], ls[k]
+        elif abs(i - j) == 1 and h == i and e == f == g:
+            ls[k:k + 3] = [(j, e), (i, e), (j, e)]
+    return BraidWord(word.n, ls)
+
+
+def descents(mapping):
+    return {i for i in range(1, len(mapping)) if mapping[i - 1] > mapping[i]}
+
+
+def inversions(mapping):
+    return sum(1 for i in range(len(mapping)) for j in range(i + 1, len(mapping))
+               if mapping[i] > mapping[j])
 
 
 def rand_relator_product(rng, n):
@@ -106,6 +133,76 @@ class TestGarside:
     def test_strand_cap(self):
         with pytest.raises(ValueError):
             BraidWord(7, ())
+
+    def test_tables_are_built_on_first_use(self):
+        code = ("import cgkernel, cgkernel.braids as b; assert not b._SIMPLE_TABLES; "
+                "b.normal_form(b.parse_braid('s1', 5)); assert list(b._SIMPLE_TABLES) == [5]")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestLongWords:
+    """Algorithm-independent properties of normal forms of 200-500-letter
+    words in B_5 and B_6."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        rng = random.Random(11)
+        out = []
+        for n in (5, 6):
+            for positive in (True, False):
+                for _ in range(3):
+                    word = rand_braid(rng, n, 500, 200, positive)
+                    out.append((word, normal_form(word)))
+        return out
+
+    def test_factors_are_proper_and_left_weighted(self, cases):
+        for word, nf in cases:
+            n = word.n
+            for f in nf.factors:
+                assert sorted(f.mapping) == list(range(1, n + 1))
+                assert f.mapping not in (tuple(range(1, n + 1)), tuple(range(n, 0, -1)))
+            for x, y in zip(nf.factors, nf.factors[1:]):
+                assert descents(y.mapping) <= descents(x.inverse().mapping)
+
+    def test_exponent_sum_and_permutation(self, cases):
+        for word, nf in cases:
+            n = word.n
+            exp = nf.delta_power * n * (n - 1) // 2
+            exp += sum(inversions(f.mapping) for f in nf.factors)
+            assert exp == sum(sign for _, sign in word.letters)
+            perm = braid_perm(delta_word(n) ** (nf.delta_power % 2))
+            for f in nf.factors:
+                perm = perm * f
+            assert perm == braid_perm(word)
+
+    def test_round_trip(self, cases):
+        for _, nf in cases:
+            assert normal_form(nf.to_braid_word()) == nf
+
+    def test_rewritten_inverse_cancels(self, cases):
+        rng = random.Random(12)
+        for word, _ in cases:
+            twin = relation_rewrite(rng, word, len(word))
+            assert twin != word
+            assert normal_form(word * twin.inverse()).is_trivial()
+
+
+class TestPowers:
+    def test_power_equals_repeated_product(self):
+        rng = random.Random(13)
+        for _ in range(100):
+            n = rng.randint(2, 6)
+            u = rand_braid(rng, n, 8)
+            for k in range(-3, 6):
+                expected = BraidWord.identity(n)
+                for _ in range(abs(k)):
+                    expected = expected * (u if k > 0 else u.inverse())
+                assert u ** k == expected
+
+    def test_long_exponent(self):
+        assert len(b("s1^200000")) == 200000
+        assert b("s1^-100000 s1^100000") == BraidWord.identity(4)
 
 
 class TestHandleReduction:

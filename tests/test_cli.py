@@ -87,7 +87,39 @@ class TestVerify:
         assert snapshot() == snapshot()
 
 
+# `braid nf` output pinned byte for byte; the left normal form is unique, so
+# any change of algorithm must reproduce it exactly.
+WORD_60 = ('s2^-1 s2^-1 s3^-1 s5 s4^-1 s3 s1^-1 s5 s5 s4 s3 s5^-1 s2 s5^-1 s3^-1 '
+           's4 s5^-1 s5^-1 s4 s2 s2 s3 s5^-1 s3 s2 s4^-1 s2 s5^-1 s3 s4^-1 s4^-1 '
+           's2 s3^-1 s1 s1 s4 s3 s1 s3 s4 s5^-1 s4^-1 s1 s4^-1 s2^-1 s5^-1 s4 s2 '
+           's3^-1 s4 s1^-1 s1^-1 s3 s5 s2 s5 s2 s3^-1 s1 s5')
+NF_GOLDEN = [
+    (6, WORD_60,
+     ('Delta^-10 · s1 s2 s3 s2 s1 s4 s3 s2 s1 s5 s4 s3 s2 s1 · s1 s2 s1 s3 '
+      's2 s1 s5 s4 s3 s2 s1 · s1 s2 s1 s3 s2 s4 s3 s2 s1 s5 s4 s3 · s1 s2 s3 '
+      's2 s4 s3 s2 s1 s5 s4 s3 s2 s1 · s2 s3 s4 s3 s2 s5 s4 s3 s2 · s2 s3 s2 '
+      's1 s4 s3 s5 s4 s3 s2 s1 · s1 s2 s1 s3 s2 s4 s3 s2 s1 s5 s4 s3 s2 s1 · '
+      's1 s2 s1 s3 s2 s4 s3 s2 s1 s5 s4 s3 s2 s1 · s1 s2 s1 s3 s4 s3 s2 s1 '
+      's5 · s1 s2 s1 s3 s2 s4 s3 · s4 s3 · s3 · s3 s2 s4 · s2 s4 s3 s2 s5 · '
+      's2 s1 s3 s2 s1 · s2 s1 s3 s4 s5 · s1 s2 s5 s4 · s2 s1 s3 s4 s3 s2 s1 '
+      's5 · s2 s5 · s2 s3 s4 · s4 s3 s5 · s3 s2 s1 s5 · s5')),
+    (4, "Delta^-3 s2", "Delta^-3 · s2"),
+    (4, "center", "Delta^2 ·"),
+    (4, "s1 s1^-1", "Delta^0 ·"),
+]
+
+
 class TestBraid:
+    @pytest.mark.parametrize("n, word, expected", NF_GOLDEN)
+    def test_nf_golden(self, capsys, n, word, expected):
+        code, out, _ = run_cli(capsys, "braid", "nf", "-n", str(n), word)
+        assert code == 0 and out == expected + "\n"
+
+    def test_eq_long_powers(self, capsys):
+        code, out, _ = run_cli(capsys, "braid", "eq", "-n", "4",
+                               "s1^50000", "s1^25000 s1^25000")
+        assert code == 0 and out == "equal\n"
+
     def test_eq(self, capsys):
         code, out, _ = run_cli(capsys, "braid", "eq", "-n", "4",
                                "l4", "A14 A24 A34")

@@ -44,6 +44,18 @@ class TestWord:
             assert u * u.inverse() == Word.identity(rank)
             assert u.inverse().inverse() == u
 
+    def test_power_equals_repeated_product(self):
+        rng = random.Random(1)
+        for _ in range(100):
+            rank = rng.randint(1, 3)
+            u = Word(rank, [(rng.randint(1, rank), rng.choice((1, -1)))
+                            for _ in range(rng.randint(0, 8))])
+            for k in range(-3, 6):
+                expected = Word.identity(rank)
+                for _ in range(abs(k)):
+                    expected = expected * (u if k > 0 else u.inverse())
+                assert u ** k == expected
+
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
             w("a") * parse_word("a", 3)
