@@ -14,80 +14,31 @@ from itertools import permutations
 from typing import Iterable, Sequence
 
 from .perms import Permutation
-from .words import FreeHom, Word, compose, parse_word
+from .words import FreeHom, Letter, Word, _reduce, compose, parse_word
 
 MAX_STRANDS = 6
-
-Letter = tuple[int, int]  # (generator index 1..n-1, +1/-1)
 
 
 class NonPureBraid(ValueError):
     """Raised when an operation defined on pure braids receives a non-pure word."""
 
 
-def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    out: list[Letter] = []
-    for let in letters:
-        if out and out[-1][0] == let[0] and out[-1][1] == -let[1]:
-            out.pop()
-        else:
-            out.append(let)
-    return tuple(out)
+class BraidWord(Word):
+    """Word in the Artin generators s1..s(n-1) of B_n: a free-group word of
+    rank n-1 whose constructors (``identity`` and ``gen`` included) take the
+    strand count n.  Equality is literal; use braid_equal for equality in the
+    group."""
 
-
-class BraidWord:
-    """Word in the Artin generators of B_n (freely reduced on construction)."""
-
-    __slots__ = ("n", "letters")
+    __slots__ = ()
 
     def __init__(self, n: int, letters: Iterable[Letter] = ()):
         if not 2 <= n <= MAX_STRANDS:
             raise ValueError(f"strand count must be in 2..{MAX_STRANDS}")
-        reduced = _reduce(letters)
-        for idx, sign in reduced:
-            if not 1 <= idx <= n - 1:
-                raise ValueError(f"generator s{idx} out of range for B_{n}")
-            if sign not in (1, -1):
-                raise ValueError("letter sign must be +1 or -1")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "letters", reduced)
+        super().__init__(n - 1, letters)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BraidWord is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> "BraidWord":
-        return cls(n, ())
-
-    @classmethod
-    def gen(cls, n: int, idx: int, sign: int = 1) -> "BraidWord":
-        return cls(n, ((idx, sign),))
-
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        if self.n != other.n:
-            raise ValueError("strand count mismatch")
-        return BraidWord(self.n, self.letters + other.letters)
-
-    def inverse(self) -> "BraidWord":
-        return BraidWord(self.n, tuple((i, -s) for i, s in reversed(self.letters)))
-
-    __invert__ = inverse
-
-    def __pow__(self, k: int) -> "BraidWord":
-        if k < 0:
-            return self.inverse() ** (-k)
-        return BraidWord(self.n, self.letters * k)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __eq__(self, other) -> bool:
-        # literal word equality; use braid_equal for equality in the group
-        return (isinstance(other, BraidWord)
-                and self.n == other.n and self.letters == other.letters)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.letters))
+    @property
+    def n(self) -> int:
+        return self.rank + 1
 
     def __repr__(self) -> str:
         return f"BraidWord({self.n}, {format_braid(self)!r})"
@@ -156,7 +107,10 @@ def parse_braid(text: str, n: int) -> BraidWord:
         if base == "1":
             continue
         elif base.startswith("s") and base[1:].isdigit():
-            piece = BraidWord.gen(n, int(base[1:]))
+            i = int(base[1:])
+            if not 1 <= i < n:
+                raise ValueError(f"generator s{i} out of range for B_{n}")
+            piece = BraidWord.gen(n, i)
         elif base.startswith("A") and base[1:].isdigit() and len(base) == 3:
             piece = pure_gen(int(base[1]), int(base[2]), n)
         elif base.startswith("l") and base[1:].isdigit():
@@ -467,14 +421,7 @@ def braid_action(w: BraidWord, table=None) -> FreeHom:
 
 def expand_f2(w: Word) -> BraidWord:
     """Substitute the braid words for a and b into a rank-2 free-group word."""
-    if w.rank != 2:
-        raise ValueError("expected a rank-2 word")
-    a, b = f2_word()
-    out = BraidWord.identity(4)
-    for idx, sign in w.letters:
-        g = a if idx == 1 else b
-        out = out * (g if sign == 1 else g.inverse())
-    return out
+    return BraidWord(4, FreeHom(2, 3, f2_word())(w).letters)
 
 
 def verify_table_row(i: int, sign: int, row: tuple[str, str] | None = None) -> bool:
@@ -493,4 +440,4 @@ def verify_table_row(i: int, sign: int, row: tuple[str, str] | None = None) -> b
 
 def braid_to_word(w: BraidWord) -> Word:
     """Reinterpret as a free-group word on n-1 generators (for presentations)."""
-    return Word(w.n - 1, w.letters)
+    return Word(w.rank, w.letters)

@@ -21,7 +21,7 @@ from .braids import (BraidWord, braid_action, braid_equal, braid_perm,
 from .intlin import (AbelianStructure, IntMatrix, coinvariants, eval_st,
                      hom_matrix, invariants_rank, monodromy_matrix, parse_st,
                      rank_q, sl2_word)
-from .fpgroups import (CosetLimitExceeded, abelianization,
+from .fpgroups import (CosetLimitExceeded, CosetTable, abelianization,
                        braid_mod_center_presentation, coset_table_from_quotient,
                        pure_braid3_mod_center_presentation,
                        pure_braid3_presentation, reidemeister_schreier,
@@ -42,14 +42,11 @@ class Config:
 
     max_cosets: int = 100_000
     check_filter: tuple[str, ...] = ("*",)
-    output: str = "text"
     seed: int = 0
 
     def __post_init__(self):
         if self.max_cosets < 1:
             raise ValueError("max_cosets must be at least 1")
-        if self.output not in ("text", "json"):
-            raise ValueError("output must be 'text' or 'json'")
 
 
 @dataclass(frozen=True)
@@ -178,19 +175,19 @@ def parity_stabilizer_generators() -> tuple[Aut, ...]:
     )
 
 
-def parity_subgroup_automaton() -> subgroups.SubgroupAutomaton:
+def parity_subgroup() -> CosetTable:
     """H = kernel of F_2 -> Z/2 sending a to 0 and b to 1 (index 2, rank 3)."""
     return from_quotient(2, [Permutation.identity(2), Permutation((2, 1))])
 
 
-def mod2_homology_automaton() -> subgroups.SubgroupAutomaton:
+def mod2_homology_subgroup() -> CosetTable:
     """J = kernel of F_2 -> (Z/2)^2, the mod-2 homology quotient (index 4)."""
     return from_quotient(2, [parse_cycles("(1,2)(3,4)", 4), parse_cycles("(1,3)(2,4)", 4)])
 
 
 def restricted_stabilizer_matrices() -> list[IntMatrix]:
-    aut = parity_subgroup_automaton()
-    return [hom_matrix(restrict_hom(aut, g)) for g in parity_stabilizer_generators()]
+    sub = parity_subgroup()
+    return [hom_matrix(restrict_hom(sub, g)) for g in parity_stabilizer_generators()]
 
 
 def strand_transpositions() -> list[Permutation]:
@@ -374,12 +371,12 @@ def _chk_gamma2_b1(cfg: Config):
 
 
 def _chk_fourgen_in_stab(cfg: Config):
-    aut = parity_subgroup_automaton()
+    sub = parity_subgroup()
     verdicts = {}
     for k, g in enumerate(parity_stabilizer_generators()):
         for tag, a in (("", g), ("^-1", g.inverse())):
             try:
-                restrict_hom(aut, a)
+                restrict_hom(sub, a)
                 verdicts[f"g{k + 1}{tag}"] = True
             except subgroups.NotStabilized:
                 verdicts[f"g{k + 1}{tag}"] = False
@@ -568,10 +565,10 @@ def _chk_theta_pair_infinite(cfg: Config):
 
 
 def _chk_j_rank5(cfg: Config):
-    aut = mod2_homology_automaton()
-    ok = aut.index == 4 and len(aut.basis) == 5
+    sub = mod2_homology_subgroup()
+    ok = sub.index == 4 and len(sub.basis) == 5
     return ok, {"index": 4, "basis_size": 5}, \
-        {"index": aut.index, "basis_size": len(aut.basis)}
+        {"index": sub.index, "basis_size": len(sub.basis)}
 
 
 def _chk_phi_hom_property(cfg: Config, cases: int = 200):

@@ -18,7 +18,7 @@ from .fpgroups import (CosetLimitExceeded, abelianization, parse_presentation,
                        reidemeister_schreier, todd_coxeter)
 from .intlin import format_matrix, format_st, parse_matrix, sl2_word, smith_normal_form
 from .perms import format_cycles, parse_cycles
-from .subgroups import NotMember, from_quotient, rewrite
+from .subgroups import from_quotient, rewrite
 from .words import format_word, parse_word
 
 ENV_MAX_COSETS = "CGKERNEL_MAX_COSETS"
@@ -104,7 +104,6 @@ def _cmd_verify(args) -> int:
             return 2
     cfg = Config(max_cosets=_max_cosets(args.max_cosets),
                  check_filter=patterns,
-                 output="json" if args.json else "text",
                  seed=args.seed)
     results = run_all(cfg)
     if args.json:
@@ -201,7 +200,7 @@ def main(argv=None) -> int:
     except UnknownCheck as exc:
         print(f"unknown check: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, NotMember, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

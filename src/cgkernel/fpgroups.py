@@ -7,11 +7,14 @@ column ^ 1 is always the inverse column.  Coset 0 is the subgroup itself.
 Enumeration is deterministic: relators are scanned in presentation order and
 new cosets are defined at the first blank of each forward scan, so tables,
 Schreier generators, and rewritten presentations are reproducible run to run.
+A free group is a presentation without relators, so the same table is the
+Schreier coset graph of a finite-index subgroup of a free group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .intlin import AbelianStructure, IntMatrix, cokernel
@@ -25,6 +28,10 @@ class CosetLimitExceeded(RuntimeError):
 
 class RelatorViolated(ValueError):
     """Quotient images fail to satisfy a relator."""
+
+
+class NotMember(ValueError):
+    """Word does not lie in the subgroup."""
 
 
 @dataclass(frozen=True)
@@ -98,8 +105,20 @@ def _cols(w: Word) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
+class SchreierTree:
+    """Breadth-first spanning tree of a coset table, all positive edges
+    before negative ones at every coset."""
+
+    reps: tuple[Word, ...]               # coset representatives
+    labels: tuple[tuple[int, ...], ...]  # labels[c][g-1]: the edge (c, g)'s
+                                         # Schreier generator (1-based), 0 on the tree
+    nsub: int                            # number of Schreier generators
+
+
+@dataclass(frozen=True)
 class CosetTable:
-    """Complete coset table over a finitely presented group."""
+    """Complete coset table over a finitely presented group.  Its Schreier
+    tree and basis are built once, on first use."""
 
     presentation: Presentation
     subgroup_gens: tuple[Word, ...]
@@ -113,7 +132,22 @@ class CosetTable:
     def index(self) -> int:
         return len(self.table)
 
+    @cached_property
+    def tree(self) -> SchreierTree:
+        return _schreier_tree(self)
+
+    @cached_property
+    def basis(self) -> tuple[Word, ...]:
+        """Schreier generators r_c g r_{c.g}^-1 for the non-tree edges, in
+        (coset, generator) order; a free basis of the subgroup when the
+        presentation has no relators."""
+        ngens, tree = self.presentation.ngens, self.tree
+        return tuple(
+            tree.reps[c] * Word.gen(ngens, g + 1) * tree.reps[self.table[c][2 * g]].inverse()
+            for c in range(self.ncosets) for g in range(ngens) if tree.labels[c][g])
+
     def trace(self, coset: int, w: Word) -> int:
+        _check_rank(self, w)
         for c in _cols(w):
             coset = self.table[coset][c]
         return coset
@@ -123,9 +157,13 @@ class CosetTable:
         for row in self.table:
             if any(e is None for e in row):
                 raise AssertionError("incomplete table")
+        rel_cols = [_cols(r) for r in self.presentation.relators]
         for c in range(self.ncosets):
-            for r in self.presentation.relators:
-                if self.trace(c, r) != c:
+            for cols in rel_cols:
+                d = c
+                for x in cols:
+                    d = self.table[d][x]
+                if d != c:
                     raise AssertionError(f"relator open at coset {c}")
         for w in self.subgroup_gens:
             if self.trace(0, w) != 0:
@@ -309,21 +347,11 @@ def coset_table_from_quotient(pres: Presentation,
     return ct
 
 
-@dataclass
-class SchreierData:
-    """Spanning-tree bookkeeping shared by rewriting and presentation building."""
-
-    reps: tuple[Word, ...]
-    tree_pairs: frozenset[tuple[int, int]]    # (coset, gen) in positive orientation
-    gen_index: dict[tuple[int, int], int]     # non-tree positive pairs, in order
-
-
-def _schreier_tree(ct: CosetTable) -> SchreierData:
-    # breadth-first, all positive edges before negative ones at every coset
+def _schreier_tree(ct: CosetTable) -> SchreierTree:
     ngens = ct.presentation.ngens
     reps: list[Word | None] = [None] * ct.ncosets
     reps[0] = Word.identity(ngens)
-    tree_pairs: set[tuple[int, int]] = set()
+    on_tree = [[False] * ngens for _ in range(ct.ncosets)]
     queue = [0]
     qi = 0
     while qi < len(queue):
@@ -332,69 +360,72 @@ def _schreier_tree(ct: CosetTable) -> SchreierData:
         for col in list(range(0, 2 * ngens, 2)) + list(range(1, 2 * ngens, 2)):
             d = ct.table[c][col]
             if reps[d] is None:
-                g = col // 2 + 1
+                g = col // 2
                 sign = 1 if col % 2 == 0 else -1
-                reps[d] = reps[c] * Word.gen(ngens, g, sign)
-                tree_pairs.add((c, g) if sign == 1 else (d, g))
+                reps[d] = reps[c] * Word.gen(ngens, g + 1, sign)
+                on_tree[c if sign == 1 else d][g] = True
                 queue.append(d)
-    gen_index: dict[tuple[int, int], int] = {}
-    for c in range(ct.ncosets):
-        for g in range(1, ngens + 1):
-            if (c, g) not in tree_pairs:
-                gen_index[(c, g)] = len(gen_index)
-    return SchreierData(tuple(reps), frozenset(tree_pairs), gen_index)
+    labels = []
+    nsub = 0
+    for row in on_tree:
+        label = []
+        for edge_on_tree in row:
+            if not edge_on_tree:
+                nsub += 1
+            label.append(0 if edge_on_tree else nsub)
+        labels.append(tuple(label))
+    return SchreierTree(tuple(reps), tuple(labels), nsub)
 
 
 def schreier_generators(ct: CosetTable) -> tuple[Word, ...]:
-    """Schreier generators r_c g r_{c.g}^-1 for the non-tree edges, in the
-    deterministic (coset, generator) order."""
-    data = _schreier_tree(ct)
-    ngens = ct.presentation.ngens
-    out = []
-    for (c, g) in sorted(data.gen_index, key=data.gen_index.get):
-        d = ct.table[c][2 * (g - 1)]
-        out.append(data.reps[c] * Word.gen(ngens, g) * data.reps[d].inverse())
-    return tuple(out)
+    """The Schreier generators of the subgroup, ``ct.basis``."""
+    return ct.basis
 
 
-def _rewrite_from(ct: CosetTable, data: SchreierData, start: int, w: Word,
-                  nsub: int) -> Word:
+def _check_rank(ct: CosetTable, w: Word) -> None:
+    if w.rank != ct.presentation.ngens:
+        raise ValueError(f"rank mismatch: word has rank {w.rank}, "
+                         f"table has {ct.presentation.ngens} generators")
+
+
+def _rewrite_from(ct: CosetTable, start: int, w: Word) -> tuple[Word, int]:
+    # w read from coset start over the Schreier generators, and its end coset
+    _check_rank(ct, w)
+    table, labels = ct.table, ct.tree.labels
     letters = []
     c = start
     for i, s in w.letters:
         if s == 1:
-            if (c, i) not in data.tree_pairs:
-                letters.append((data.gen_index[(c, i)] + 1, 1))
-            c = ct.table[c][2 * (i - 1)]
+            k = labels[c][i - 1]
+            c = table[c][2 * i - 2]
         else:
-            d = ct.table[c][2 * (i - 1) + 1]
-            if (d, i) not in data.tree_pairs:
-                letters.append((data.gen_index[(d, i)] + 1, -1))
-            c = d
-    return Word(nsub, letters)
+            c = table[c][2 * i - 1]
+            k = labels[c][i - 1]
+        if k:
+            letters.append((k, s))
+    return Word(ct.tree.nsub, letters), c
 
 
 def reidemeister_schreier(ct: CosetTable) -> Presentation:
     """Presentation of the subgroup on its Schreier generators: one generator
     per non-tree edge, one relator per (coset, ambient relator) pair.  Tree
     generators are eliminated; no further simplification is attempted."""
-    data = _schreier_tree(ct)
-    nsub = len(data.gen_index)
     relators = []
     for c in range(ct.ncosets):
         for r in ct.presentation.relators:
-            rewritten = _rewrite_from(ct, data, c, r, nsub)
+            rewritten, _ = _rewrite_from(ct, c, r)
             if not rewritten.is_identity():
                 relators.append(rewritten)
-    return Presentation(nsub, tuple(relators))
+    return Presentation(ct.tree.nsub, tuple(relators))
 
 
 def rewrite_in_subgroup(ct: CosetTable, w: Word) -> Word:
-    """Rewrite a word lying in the subgroup over the Schreier generators."""
-    data = _schreier_tree(ct)
-    if ct.trace(0, w) != 0:
-        raise ValueError("word does not lie in the subgroup")
-    return _rewrite_from(ct, data, 0, w, len(data.gen_index))
+    """Rewrite a word lying in the subgroup over the Schreier generators;
+    expanding the result recovers the input exactly."""
+    rewritten, end = _rewrite_from(ct, 0, w)
+    if end != 0:
+        raise NotMember("word does not return to the base state")
+    return rewritten
 
 
 # --- stock presentations ------------------------------------------------------

@@ -87,11 +87,6 @@ class Permutation:
         return f"Permutation({format_cycles(self)!r}, n={self.n})"
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """p then q."""
-    return p * q
-
-
 def parse_cycles(text: str, n: int) -> Permutation:
     """Parse cycle notation like ``(1,2)(3,4)``; ``id`` is the identity."""
     text = text.strip()

@@ -1,9 +1,9 @@
-"""Finite-index subgroups of free groups as Schreier coset automata.
+"""Finite-index subgroups of free groups, on the coset table of fpgroups.
 
-An automaton is built from a finite quotient (the subgroup is the kernel);
-states are image-group elements, the base state is the identity.  A breadth-
-first spanning tree with generator order fixed (positive letters before
-negative) determines coset representatives, the Schreier basis, and the
+A subgroup is given as the kernel of a finite quotient of F_rank: its coset
+table is the regular action of the image group on itself, numbered breadth
+first from the identity.  The table's Schreier tree (positive letters before
+negative) fixes the coset representatives, the Schreier basis and the
 rewriting map, so everything downstream is deterministic.
 """
 
@@ -11,168 +11,45 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .fpgroups import (CosetTable, NotMember, Presentation,
+                       coset_table_from_quotient, rewrite_in_subgroup)
 from .perms import Permutation
 from .words import Aut, FreeHom, Word
-
-
-class NotMember(ValueError):
-    """Word does not lie in the subgroup."""
 
 
 class NotStabilized(ValueError):
     """Automorphism does not map the subgroup onto itself."""
 
 
-class SubgroupAutomaton:
-    """Coset automaton of a finite-index subgroup of a free group."""
-
-    __slots__ = ("rank", "nstates", "transitions", "reps", "tree_pairs",
-                 "basis", "_pair_index")
-
-    def __init__(self, rank: int, transitions: Sequence[Sequence[int]]):
-        # transitions: per state, 2*rank entries (g+, g- interleaved), total
-        self.rank = rank
-        self.nstates = len(transitions)
-        self.transitions = tuple(tuple(row) for row in transitions)
-        for row in self.transitions:
-            if len(row) != 2 * rank:
-                raise ValueError("transition row width mismatch")
-        for st in range(self.nstates):
-            for g in range(rank):
-                fwd = self.transitions[st][2 * g]
-                if self.transitions[fwd][2 * g + 1] != st:
-                    raise ValueError("transitions are not inverse-consistent")
-        self._build_tree()
-
-    def _build_tree(self):
-        rank = self.rank
-        reps: list[Word | None] = [None] * self.nstates
-        reps[0] = Word.identity(rank)
-        tree_pairs: set[tuple[int, int]] = set()
-        queue, qi = [0], 0
-        while qi < len(queue):
-            st = queue[qi]
-            qi += 1
-            cols = [2 * g for g in range(rank)] + [2 * g + 1 for g in range(rank)]
-            for col in cols:
-                nxt = self.transitions[st][col]
-                if reps[nxt] is None:
-                    g = col // 2 + 1
-                    sign = 1 if col % 2 == 0 else -1
-                    reps[nxt] = reps[st] * Word.gen(rank, g, sign)
-                    tree_pairs.add((st, g) if sign == 1 else (nxt, g))
-                    queue.append(nxt)
-        if any(r is None for r in reps):
-            raise ValueError("automaton is not connected")
-        self.reps = tuple(reps)
-        self.tree_pairs = frozenset(tree_pairs)
-        pair_index: dict[tuple[int, int], int] = {}
-        basis: list[Word] = []
-        for st in range(self.nstates):
-            for g in range(1, rank + 1):
-                if (st, g) not in self.tree_pairs:
-                    pair_index[(st, g)] = len(basis)
-                    dst = self.transitions[st][2 * (g - 1)]
-                    basis.append(self.reps[st] * Word.gen(rank, g)
-                                 * self.reps[dst].inverse())
-        self._pair_index = pair_index
-        self.basis = tuple(basis)
-        # Nielsen-Schreier count for a finite-index subgroup
-        assert len(self.basis) == 1 + self.nstates * (self.rank - 1)
-
-    @property
-    def index(self) -> int:
-        return self.nstates
-
-    def step(self, state: int, gen: int, sign: int) -> int:
-        return self.transitions[state][2 * (gen - 1) + (0 if sign == 1 else 1)]
-
-    def trace(self, w: Word, start: int = 0) -> int:
-        st = start
-        for i, s in w.letters:
-            st = self.step(st, i, s)
-        return st
+def from_quotient(rank: int, images: Sequence[Permutation]) -> CosetTable:
+    """Coset table of the kernel of F_rank -> <images>; index = image order."""
+    return coset_table_from_quotient(Presentation(rank, ()), images)
 
 
-def from_quotient(rank: int, images: Sequence[Permutation]) -> SubgroupAutomaton:
-    """Automaton of the kernel of F_rank -> <images>; index = image order."""
-    if len(images) != rank:
-        raise ValueError("one image per generator")
-    if rank < 1:
-        raise ValueError("rank must be positive")
-    deg = images[0].n
-    for g in images:
-        if g.n != deg:
-            raise ValueError("image degree mismatch")
-    step = []
-    for g in images:
-        step.extend([g, g.inverse()])
-    ident = Permutation.identity(deg)
-    order = {ident: 0}
-    elements = [ident]
-    qi = 0
-    while qi < len(elements):
-        e = elements[qi]
-        qi += 1
-        for g in step:
-            q = e * g
-            if q not in order:
-                order[q] = len(elements)
-                elements.append(q)
-    transitions = tuple(
-        tuple(order[e * g] for g in step) for e in elements
-    )
-    return SubgroupAutomaton(rank, transitions)
+def membership(ct: CosetTable, w: Word) -> bool:
+    return ct.trace(0, w) == 0
 
 
-def membership(aut: SubgroupAutomaton, w: Word) -> bool:
-    if w.rank != aut.rank:
-        raise ValueError("rank mismatch")
-    return aut.trace(w) == 0
+# Schreier rewriting of a member word over the basis letters; raises NotMember
+# for a word outside the subgroup.
+rewrite = rewrite_in_subgroup
 
 
-def rewrite(aut: SubgroupAutomaton, w: Word) -> Word:
-    """Schreier rewriting of a member word over the basis letters; expanding
-    the result recovers the input exactly."""
-    if w.rank != aut.rank:
-        raise ValueError("rank mismatch")
-    letters = []
-    st = 0
-    for i, s in w.letters:
-        if s == 1:
-            if (st, i) not in aut.tree_pairs:
-                letters.append((aut._pair_index[(st, i)] + 1, 1))
-            st = aut.step(st, i, 1)
-        else:
-            prev = aut.step(st, i, -1)
-            if (prev, i) not in aut.tree_pairs:
-                letters.append((aut._pair_index[(prev, i)] + 1, -1))
-            st = prev
-    if st != 0:
-        raise NotMember("word does not return to the base state")
-    return Word(len(aut.basis), letters)
-
-
-def expand(aut: SubgroupAutomaton, w: Word) -> Word:
+def expand(ct: CosetTable, w: Word) -> Word:
     """Substitute basis words back into a word over the basis letters."""
-    if w.rank != len(aut.basis):
-        raise ValueError("rank mismatch with basis size")
-    out = Word.identity(aut.rank)
-    for i, s in w.letters:
-        g = aut.basis[i - 1]
-        out = out * (g if s == 1 else g.inverse())
-    return out
+    return FreeHom(len(ct.basis), ct.presentation.ngens, ct.basis)(w)
 
 
-def restrict_hom(aut: SubgroupAutomaton, f: Aut) -> FreeHom:
+def restrict_hom(ct: CosetTable, f: Aut) -> FreeHom:
     """Restriction of an ambient automorphism to the subgroup, expressed on
     the Schreier basis.  Requires f and f^-1 to map every basis element back
     into the subgroup, which certifies f(H) = H."""
-    if f.rank != aut.rank:
+    if f.rank != ct.presentation.ngens:
         raise ValueError("rank mismatch")
-    for g in (f.fwd, f.inv):
-        for u in aut.basis:
-            if aut.trace(g(u)) != 0:
-                raise NotStabilized("automorphism does not stabilize the subgroup")
-    images = tuple(rewrite(aut, f.fwd(u)) for u in aut.basis)
-    return FreeHom(len(aut.basis), len(aut.basis), images)
+    try:
+        images = tuple(rewrite(ct, f.fwd(u)) for u in ct.basis)
+    except NotMember:
+        raise NotStabilized("automorphism does not stabilize the subgroup") from None
+    if any(ct.trace(0, f.inv(u)) != 0 for u in ct.basis):
+        raise NotStabilized("automorphism does not stabilize the subgroup")
+    return FreeHom(len(ct.basis), len(ct.basis), images)

@@ -28,7 +28,9 @@ class Word:
     """A freely reduced word in the free group of the given rank.
 
     Words are immutable values: equality is structural, and free reduction
-    happens eagerly on construction.
+    happens eagerly on construction.  Products, inverses, powers and cyclic
+    reductions keep the class of the word they start from, and words of
+    different classes never compare equal.
     """
 
     __slots__ = ("rank", "letters")
@@ -46,7 +48,13 @@ class Word:
         object.__setattr__(self, "letters", reduced)
 
     def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _same(self, letters: Iterable[Letter]) -> "Word":
+        # a word of this class and rank, whatever the subclass constructor takes
+        word = object.__new__(type(self))
+        Word.__init__(word, self.rank, letters)
+        return word
 
     @classmethod
     def identity(cls, rank: int) -> "Word":
@@ -59,17 +67,17 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} != {other.rank}")
-        return Word(self.rank, self.letters + other.letters)
+        return self._same(self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return Word(self.rank, tuple((i, -s) for i, s in reversed(self.letters)))
+        return self._same(tuple((i, -s) for i, s in reversed(self.letters)))
 
     __invert__ = inverse
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        return Word(self.rank, self.letters * n)
+        return self._same(self.letters * n)
 
     def conjugate(self, by: "Word") -> "Word":
         """by * self * by^-1."""
@@ -95,14 +103,14 @@ class Word:
         ls = list(self.letters)
         while len(ls) >= 2 and ls[0][0] == ls[-1][0] and ls[0][1] == -ls[-1][1]:
             ls = ls[1:-1]
-        return Word(self.rank, ls)
+        return self._same(ls)
 
     def __len__(self) -> int:
         return len(self.letters)
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, Word)
+            type(other) is type(self)
             and self.rank == other.rank
             and self.letters == other.letters
         )
@@ -212,10 +220,6 @@ class FreeHom:
 
     def is_identity(self) -> bool:
         return self == FreeHom.identity(self.src_rank)
-
-
-def apply_hom(f: FreeHom, w: Word) -> Word:
-    return f(w)
 
 
 def compose(f: FreeHom, g: FreeHom) -> FreeHom:

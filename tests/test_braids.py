@@ -8,13 +8,13 @@ import sys
 import pytest
 
 from cgkernel.braids import (BraidWord, NonPureBraid, braid_action, braid_equal,
-                             braid_perm, cardano_ferrari, delete_strand,
+                             braid_perm, braid_to_word, cardano_ferrari, delete_strand,
                              delta_word, ell_word, expand_f2, f2_word,
                              format_braid, generator_action, handle_reduce,
                              handle_trivial, normal_form, parse_braid, pure_gen,
                              verify_table_row)
 from cgkernel.perms import parse_cycles
-from cgkernel.words import FreeHom, compose, parse_word
+from cgkernel.words import FreeHom, Word, compose, parse_word
 from cgkernel.intlin import hom_matrix, IntMatrix
 
 
@@ -335,6 +335,30 @@ class TestConjugationAction:
     def test_expand_subgroup_words(self):
         a, bb = f2_word()
         assert expand_f2(parse_word("a b", 2)) == a * bb
+
+
+class TestWordType:
+    def test_operations_keep_the_class(self):
+        u, v = b("s1 s2^-1 s3"), b("s3^-1 s2")
+        for w in (u * v, u.inverse(), ~u, u ** 3, u ** -2, u.conjugate(v),
+                  (v * u * v.inverse()).cyclically_reduced(), BraidWord.gen(4, 2)):
+            assert type(w) is BraidWord and w.n == 4 and w.rank == 3
+
+    def test_unequal_to_the_word_with_the_same_letters(self):
+        u = b("s1 s2^-1 s3")
+        w = braid_to_word(u)
+        assert w == Word(3, u.letters) and type(w) is Word
+        assert u != w and w != u and len({u, w}) == 2
+
+    def test_strand_counts(self):
+        for n in (1, 7):
+            with pytest.raises(ValueError):
+                BraidWord(n)
+        with pytest.raises(ValueError):
+            b("s1") * b("s1", 5)
+        with pytest.raises(ValueError):
+            BraidWord(4, [(4, 1)])
+        assert repr(b("s1 s2^-1")) == "BraidWord(4, 's1 s2^-1')"
 
 
 class TestParser:

@@ -87,5 +87,3 @@ def test_evidence_for_homology_check_contains_matrices():
 def test_bad_config_rejected():
     with pytest.raises(ValueError):
         Config(max_cosets=0)
-    with pytest.raises(ValueError):
-        Config(output="xml")

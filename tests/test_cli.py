@@ -3,11 +3,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cgkernel.cli import main
 from cgkernel.fpgroups import format_presentation, sl2z_presentation
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture()
@@ -58,6 +61,16 @@ class TestVerify:
         assert all(entry["passed"] for entry in payload)
         assert set(payload[0]) == {"id", "passed", "expected", "actual",
                                    "paper_anchor", "elapsed_ms"}
+
+    def test_all_json_evidence_golden(self, capsys):
+        # every check's evidence, byte for byte, with the timings dropped;
+        # a refactor that changes an exact answer or its order fails here
+        code, out, _ = run_cli(capsys, "verify", "--all", "--json")
+        payload = json.loads(out)
+        for entry in payload:
+            del entry["elapsed_ms"]
+        golden = (GOLDEN / "verify_all.json").read_text(encoding="utf-8")
+        assert code == 0 and json.dumps(payload, indent=2) + "\n" == golden
 
     def test_failing_check_sets_exit_one(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--check", "sl2.*",
@@ -192,7 +205,48 @@ class TestLinearAlgebra:
         assert code == 2 and out == "" and "True" in err
 
 
+# `subgroup basis` and `subgroup rewrite` output pinned line by line: coset
+# numbering and Schreier-generator order are part of the contract.
+MOD2 = ("-d", "4", "--images", "(1,2)(3,4);(1,3)(2,4)")  # mod-2 homology kernel
+S3 = ("-d", "3", "--images", "(1,2);(1,2,3)")  # regular S_3 kernel
+# a -> c, b -> c^-1 for a 3-cycle c: the Schreier tree takes the b edge out of
+# coset 0 only because positive letters come before negative ones
+Z3 = ("-d", "3", "--images", "(1,2,3);(1,3,2)")
+BASIS_GOLDEN = [
+    (MOD2, ["index: 4", "a^2", "b a b^-1 a^-1", "b^2", "a b a b^-1", "a b^2 a^-1"]),
+    (S3, ["index: 6", "a^2", "b a b a^-1", "b^3", "b^-1 a b^-1 a^-1", "a b a b",
+          "a b^3 a^-1", "a b^-1 a b^-1"]),
+    (Z3, ["index: 3", "a^2 b^-1", "a b", "b a", "b^2 a^-1"]),
+]
+REWRITE_GOLDEN = [
+    (MOD2, "a^2 b^2", "g1 g3"),
+    (MOD2, "b a b^-1 a^-1 a b a b^-1", "g2 g4"),
+    (MOD2, "a b^2 a^-1 b^-2 a^-2", "g5 g3^-1 g1^-1"),
+    (MOD2, "a b a b^-1 b a^-1 b^-1 a^-1", "1"),
+    (S3, "a^2 b^3", "g1 g3"),
+    (S3, "a b a b a b^3 a^-1 a^-2", "g5 g6 g1^-1"),
+    (S3, "b^-1 a b^-1 a^-1 a b^-1 a b^-1", "g4 g7"),
+    (Z3, "a^3 b a", "g1 g3^2"),
+    (Z3, "b^-1 a^-1 a^2 b^-1", "g2^-1 g1"),
+]
+
+
 class TestSubgroup:
+    @pytest.mark.parametrize("images, expected", BASIS_GOLDEN)
+    def test_basis_golden(self, capsys, images, expected):
+        code, out, _ = run_cli(capsys, "subgroup", "basis", "-r", "2", *images)
+        assert code == 0 and out.splitlines() == expected
+
+    @pytest.mark.parametrize("images, word, expected", REWRITE_GOLDEN)
+    def test_rewrite_golden(self, capsys, images, word, expected):
+        code, out, _ = run_cli(capsys, "subgroup", "rewrite", "-r", "2", *images, word)
+        assert code == 0 and out == expected + "\n"
+
+    @pytest.mark.parametrize("images, word", [(MOD2, "b"), (S3, "a b")])
+    def test_rewrite_non_member_golden(self, capsys, images, word):
+        code, out, err = run_cli(capsys, "subgroup", "rewrite", "-r", "2", *images, word)
+        assert (code, out, err) == (2, "", "error: word does not return to the base state\n")
+
     def test_basis(self, capsys):
         code, out, _ = run_cli(capsys, "subgroup", "basis", "-r", "2", "-d", "2",
                                "--images", "id;(1,2)")

@@ -196,6 +196,18 @@ class TestReidemeisterSchreier:
         with pytest.raises(ValueError):
             rewrite_in_subgroup(ct, pres.word("t"))
 
+    @pytest.mark.parametrize("word", [Word(1, [(1, 1)] * 4),   # a^4, rank 1
+                                      Word(3, [(1, 1)] * 4),   # a^4, rank 3
+                                      Word(3, [(3, 1)])])
+    def test_rank_mismatch_is_rejected(self, word):
+        # the letters of a word of another rank name other generators
+        pres = sl2z_presentation()
+        ct = todd_coxeter(pres, [pres.word("t t"), pres.word("t s t t s t")])
+        with pytest.raises(ValueError, match="rank"):
+            rewrite_in_subgroup(ct, word)
+        with pytest.raises(ValueError, match="rank"):
+            ct.trace(0, word)
+
 
 class TestPresentationIO:
     def test_round_trip(self):

@@ -1,4 +1,4 @@
-"""Schreier automata for finite-index subgroups of F_2."""
+"""Finite-index subgroups of F_2 on their coset tables."""
 
 import random
 
@@ -51,7 +51,7 @@ def test_trivial_quotient():
 
 def test_nielsen_schreier_count():
     for aut in (parity_automaton(), mod2_automaton()):
-        assert len(aut.basis) == 1 + aut.index * (aut.rank - 1)
+        assert len(aut.basis) == 1 + aut.index * (aut.presentation.ngens - 1)
 
 
 def test_membership():
@@ -87,6 +87,15 @@ def test_rewrite_round_trip_random_members():
 def test_rewrite_rejects_non_member():
     with pytest.raises(NotMember):
         rewrite(parity_automaton(), parse_word("b", 2))
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_rank_mismatch_rejected(rank):
+    aut = mod2_automaton()
+    word = Word(rank, [(1, 1), (1, 1)])  # a^2 lies in the subgroup at rank 2
+    for op in (membership, rewrite):
+        with pytest.raises(ValueError, match="rank"):
+            op(aut, word)
 
 
 def test_restriction_of_identity():
