@@ -1,14 +1,16 @@
-"""Finitely presented groups: Todd-Coxeter coset enumeration (HLT strategy
-with lookahead), coset tables induced by finite quotients, Reidemeister-
+"""Finitely presented groups: Todd-Coxeter coset enumeration (Felsch-style
+deduction processing), coset tables induced by finite quotients, Reidemeister-
 Schreier subgroup presentations, and abelianization.
 
 Coset tables use one column per generator and inverse, interleaved so that
 column ^ 1 is always the inverse column.  Coset 0 is the subgroup itself.
-Enumeration is deterministic: relators are scanned in presentation order and
-new cosets are defined at the first blank of each forward scan, so tables,
-Schreier generators, and rewritten presentations are reproducible run to run.
-A free group is a presentation without relators, so the same table is the
-Schreier coset graph of a finite-index subgroup of a free group.
+Every finished table is in standard numbering: cosets are numbered breadth
+first from coset 0, trying the columns in the order g1, g1^-1, g2, ....  A
+subgroup has exactly one such table, so `todd_coxeter` and
+`coset_table_from_quotient` give the same table for the same subgroup, and
+tables, Schreier generators, and rewritten presentations are reproducible
+run to run.  A free group is a presentation without relators, so the same
+table is the Schreier coset graph of a finite-index subgroup of a free group.
 """
 
 from __future__ import annotations
@@ -153,18 +155,32 @@ class CosetTable:
         return coset
 
     def validate(self) -> None:
-        """Every relator closes at every coset; subgroup generators fix coset 0."""
-        for row in self.table:
-            if any(e is None for e in row):
-                raise AssertionError("incomplete table")
-        rel_cols = [_cols(r) for r in self.presentation.relators]
-        for c in range(self.ncosets):
-            for cols in rel_cols:
-                d = c
-                for x in cols:
-                    d = self.table[d][x]
-                if d != c:
-                    raise AssertionError(f"relator open at coset {c}")
+        """Every column permutes the cosets and column x ^ 1 inverts column
+        x; every relator closes at every coset; subgroup generators fix
+        coset 0."""
+        ncols = 2 * self.presentation.ngens
+        if not self.table:
+            raise AssertionError("table has no cosets")
+        if any(len(row) != ncols for row in self.table):
+            raise AssertionError(f"a row does not have {ncols} entries")
+        columns = list(zip(*self.table))
+        ident = list(range(self.ncosets))
+        cosets = set(ident)
+        for x, col in enumerate(columns):
+            if set(col) != cosets:
+                raise AssertionError(f"column {x} is not a permutation of the cosets")
+        for x, col in enumerate(columns):
+            inv = columns[x ^ 1]
+            if [inv[d] for d in col] != ident:
+                raise AssertionError(f"column {x ^ 1} does not invert column {x}")
+        for r in self.presentation.relators:
+            image = ident
+            for x in _cols(r):
+                col = columns[x]
+                image = [col[d] for d in image]
+            if image != ident:
+                c = next(c for c in ident if image[c] != c)
+                raise AssertionError(f"relator open at coset {c}")
         for w in self.subgroup_gens:
             if self.trace(0, w) != 0:
                 raise AssertionError("subgroup generator does not fix coset 0")
@@ -172,20 +188,60 @@ class CosetTable:
 
 def todd_coxeter(pres: Presentation, subgens: Sequence[Word],
                  max_cosets: int = 100_000) -> CosetTable:
-    """HLT coset enumeration of the subgroup generated by ``subgens``.
+    """Felsch-style coset enumeration of the subgroup generated by ``subgens``.
 
-    When the live-coset count passes ``max_cosets``, one lookahead pass scans
-    every relator at every live coset without defining anything, hoping to
-    collapse the table; if the count still exceeds the limit the enumeration
-    aborts with CosetLimitExceeded.
+    The subgroup generators are traced from coset 0, defining cosets as
+    needed.  After that each new coset is defined at the first blank entry
+    in (coset, column) order, and every entry that gets filled, by a
+    definition, a deduction or a coincidence, is scanned before the next
+    definition: each cyclic conjugate of a relator or its inverse that
+    starts with the entry's column is traced from the entry's coset without
+    defining anything, filling a single missing entry or merging two cosets
+    whose loop closes wrongly.  A loop through the entry reads as such a
+    conjugate from its coset, so when no blank is left every relator closes
+    everywhere.  A generator whose square is a relator is its own inverse,
+    so its two columns are one list, and each of its edges is stored and
+    scanned once.
+
+    ``max_cosets`` bounds the rows held.  When a definition would pass it,
+    the rows of merged cosets are compacted away first; if the live cosets
+    alone fill the limit, the enumeration aborts with CosetLimitExceeded.
+    The finished table is in standard numbering and is validated.
     """
     for w in subgens:
         if w.rank != pres.ngens:
             raise ValueError("subgroup generator rank mismatch")
+    if max_cosets < 1:  # no room for coset 0
+        raise CosetLimitExceeded(f"enumeration exceeded {max_cosets} cosets")
     ncols = 2 * pres.ngens
-    table: list[list[int | None]] = [[None] * ncols]
-    parent = [0]  # union-find over cosets; merged cosets point downward
-    state = {"live": 1}
+    involutions = {r.letters[0][0] - 1 for r in pres.relators
+                   if len(r) == 2 and r.letters[0] == r.letters[1]}
+    table: list[list[int]] = []  # table[x][c]: coset c times column x; -1 blank
+    for x in range(ncols):
+        table.append(table[x - 1] if x % 2 and x // 2 in involutions else [-1])
+    # table[x] is table[canon[x]]
+    canon = [x & ~1 if x // 2 in involutions else x for x in range(ncols)]
+    xs = sorted(set(canon))  # the distinct columns
+    parent = [0]  # union-find over rows; a merged row points at a lower one
+    deductions: list[int] = []  # filled entries c * ncols + x whose loops are not yet scanned
+    nlive = 1
+
+    # scans[x]: the distinct cyclic conjugates of the relators and their
+    # inverses that start with column x, as their forward columns, the
+    # inverse columns, and the column numbers
+    scans: list[list[tuple]] = [[] for _ in range(ncols)]
+    seen = set()
+    for r in pres.relators:
+        w = tuple(canon[x] for x in _cols(r))
+        if len(w) == 2 and w[0] == w[1]:
+            continue  # g^2 for a g in involutions: holds by construction
+        for word in (w, tuple(canon[x ^ 1] for x in reversed(w))):
+            for k in range(len(word)):
+                rot = word[k:] + word[:k]
+                if rot not in seen:
+                    seen.add(rot)
+                    scans[rot[0]].append((tuple(table[x] for x in rot),
+                                          tuple(table[x ^ 1] for x in rot), rot))
 
     def rep(k: int) -> int:
         while parent[k] != k:
@@ -193,108 +249,140 @@ def todd_coxeter(pres: Presentation, subgens: Sequence[Word],
             k = parent[k]
         return k
 
-    def define(a: int, x: int) -> None:
-        b = len(table)
-        table.append([None] * ncols)
-        parent.append(b)
-        state["live"] += 1
-        table[a][x] = b
-        table[b][x ^ 1] = a
-
     def merge(k: int, l: int, queue: list[int]) -> None:
+        nonlocal nlive
         k, l = rep(k), rep(l)
         if k != l:
             lo, hi = min(k, l), max(k, l)
             parent[hi] = lo
-            state["live"] -= 1
+            nlive -= 1
             queue.append(hi)
 
     def coincidence(a: int, b: int) -> None:
+        # move each merged row's entries to its representative, merging
+        # further cosets where two entries disagree
         queue: list[int] = []
         merge(a, b, queue)
-        qi = 0
-        while qi < len(queue):
-            dead = queue[qi]
-            qi += 1
-            for x in range(ncols):
-                d = table[dead][x]
-                if d is None:
+        for dead in queue:
+            for x in xs:
+                col = table[x]
+                d = col[dead]
+                if d < 0:
                     continue
-                table[d][x ^ 1] = None
+                inv = table[x ^ 1]
+                inv[d] = -1
                 mu, nu = rep(dead), rep(d)
-                if table[mu][x] is not None:
-                    merge(nu, table[mu][x], queue)
-                elif table[nu][x ^ 1] is not None:
-                    merge(mu, table[nu][x ^ 1], queue)
+                if col[mu] >= 0:
+                    merge(nu, col[mu], queue)
+                elif inv[nu] >= 0:
+                    merge(mu, inv[nu], queue)
                 else:
-                    table[mu][x] = nu
-                    table[nu][x ^ 1] = mu
+                    col[mu] = nu
+                    inv[nu] = mu
+                    deductions.append(mu * ncols + x)
 
-    def scan(a: int, cols: tuple[int, ...], fill: bool) -> None:
-        f, i = a, 0
-        b, j = a, len(cols) - 1
-        while True:
-            while i <= j and table[f][cols[i]] is not None:
-                f = table[f][cols[i]]
-                i += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return
-            while j >= i and table[b][cols[j] ^ 1] is not None:
-                b = table[b][cols[j] ^ 1]
-                j -= 1
-            if j < i:
+    def scan(c: int, fwd, bwd, cols) -> int:
+        # trace one loop from c; deduce its entry if exactly one is blank, or
+        # merge its ends if none is; otherwise return the first blank entry
+        n = len(cols)
+        f, i = c, 0
+        while i < n:
+            e = fwd[i][f]
+            if e < 0:
+                break
+            f, i = e, i + 1
+        b, j = c, n - 1
+        while j >= i:
+            e = bwd[j][b]
+            if e < 0:
+                break
+            b, j = e, j - 1
+        if j < i:
+            if f != b:
                 coincidence(f, b)
-                return
-            if j == i:
-                table[f][cols[i]] = b
-                table[b][cols[i] ^ 1] = f
-                return
-            if not fill:
-                return
-            define(f, cols[i])
+        elif j == i:
+            fwd[i][f] = b
+            bwd[i][b] = f
+            deductions.append(f * ncols + cols[i])
+        else:
+            return f * ncols + cols[i]
+        return -1
 
-    rel_cols = [_cols(r) for r in pres.relators]
+    def process() -> None:
+        while deductions:
+            c, x = divmod(deductions.pop(), ncols)
+            if parent[c] != c:
+                continue  # its entries were pushed again at its representative
+            for fwd, bwd, cols in scans[x]:
+                scan(c, fwd, bwd, cols)
+                if parent[c] != c:
+                    break
 
-    def enforce_limit() -> None:
-        if state["live"] <= max_cosets:
-            return
-        for c in range(len(table)):  # lookahead: deduce and collapse, no defines
-            if parent[c] == c:
-                for cols in rel_cols:
-                    scan(c, cols, fill=False)
-        if state["live"] > max_cosets:
-            raise CosetLimitExceeded(f"enumeration exceeded {max_cosets} cosets")
+    def define(c: int, x: int) -> int:
+        # new coset c.x; returns c's number, which compaction may change
+        nonlocal nlive
+        if len(parent) >= max_cosets:
+            if nlive < len(parent):
+                c = compact()[c]
+            if len(parent) >= max_cosets:
+                raise CosetLimitExceeded(f"enumeration exceeded {max_cosets} cosets")
+        b = len(parent)
+        parent.append(b)
+        for y in xs:
+            table[y].append(-1)
+        table[x][c] = b
+        table[x ^ 1][b] = c
+        nlive += 1
+        deductions.append(c * ncols + x)
+        return c
+
+    def compact() -> list[int]:
+        # drop merged rows, keeping the live ones in order; called with no
+        # deduction pending, when live rows point only at live rows
+        live = [k for k in range(len(parent)) if parent[k] == k]
+        new = [-1] * (len(parent) + 1)  # new[-1] keeps blanks blank
+        for i, k in enumerate(live):
+            new[k] = i
+        for x in xs:
+            col = table[x]
+            col[:] = [new[col[k]] for k in live]
+        parent[:] = range(len(live))
+        return new
 
     for w in subgens:
-        scan(0, _cols(w), fill=True)
-        enforce_limit()
+        cols = tuple(canon[x] for x in _cols(w))
+        fwd = tuple(table[x] for x in cols)
+        bwd = tuple(table[x ^ 1] for x in cols)
+        while (blank := scan(0, fwd, bwd, cols)) >= 0:
+            define(*divmod(blank, ncols))
+            process()
+        process()
 
-    alpha = 0
-    while alpha < len(table):
-        if parent[alpha] != alpha:
-            alpha += 1
-            continue
-        for cols in rel_cols:
-            scan(alpha, cols, fill=True)
-            if parent[alpha] != alpha:
-                break
-        if parent[alpha] == alpha:
-            for x in range(ncols):
-                if table[alpha][x] is None:
-                    define(alpha, x)
-        enforce_limit()
-        alpha += 1
+    c, x = 0, 0
+    while True:
+        process()
+        while c < len(parent):
+            if parent[c] == c:
+                while x < ncols and table[x][c] >= 0:
+                    x += 1
+                if x < ncols:
+                    break
+            c, x = c + 1, 0
+        else:
+            break
+        c = define(c, x)
 
-    live = [k for k in range(len(table)) if parent[k] == k]
-    renumber = {k: idx for idx, k in enumerate(live)}
-    for k in live:
-        if any(e is None for e in table[k]):
-            raise AssertionError("enumeration finished with an incomplete row")
-    final = tuple(
-        tuple(renumber[rep(table[k][x])] for x in range(ncols)) for k in live
-    )
+    # standard numbering: breadth first from coset 0, columns in order
+    number = [-1] * len(parent)
+    number[0] = 0
+    order = [0]
+    for c in order:
+        for col in table:
+            d = col[c]
+            if number[d] < 0:
+                number[d] = len(order)
+                order.append(d)
+    final = tuple(zip(*[[number[col[c]] for c in order] for col in table]))
     ct = CosetTable(pres, tuple(subgens), final)
     ct.validate()
     return ct
@@ -304,7 +392,7 @@ def coset_table_from_quotient(pres: Presentation,
                               images: Sequence[Permutation]) -> CosetTable:
     """Coset table of the kernel of the homomorphism sending generator i to
     images[i], acting on the image group regularly.  Coset 0 is the identity;
-    elements are numbered in breadth-first order."""
+    the elements are in standard numbering."""
     if len(images) != pres.ngens:
         raise ValueError("one image per generator")
     deg = images[0].n

@@ -177,6 +177,19 @@ class TestCosetEnumeration:
                                "--max-cosets", "500")
         assert code == 3 and "exceeded" in err
 
+    def test_limit_bounds_rows_held(self, capsys, tmp_path):
+        # the Coxeter presentation of S_7, whose enumeration needs 5040 rows
+        path = tmp_path / "s7.pres"
+        rels = [f"s{i} s{i}" for i in range(1, 7)]
+        rels += [f"s{i} s{j} " * (3 if j == i + 1 else 2)
+                 for i in range(1, 7) for j in range(i + 1, 7)]
+        path.write_text("gens: s1 s2 s3 s4 s5 s6\n"
+                        + "".join(f"rel: {r}\n" for r in rels), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "tc", str(path), "", "--max-cosets", "5040")
+        assert code == 0 and "index: 5040" in out
+        code, _, err = run_cli(capsys, "tc", str(path), "", "--max-cosets", "5039")
+        assert code == 3 and "exceeded" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "tc", "/does/not/exist", "t")
         assert code == 2

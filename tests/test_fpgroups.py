@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cgkernel.fpgroups import (CosetLimitExceeded, Presentation, RelatorViolated,
+from cgkernel.fpgroups import (CosetLimitExceeded, CosetTable, Presentation, RelatorViolated,
                                abelianization, braid_mod_center_presentation,
                                braid_presentation, coset_table_from_quotient,
                                format_presentation, parse_presentation,
@@ -19,6 +19,61 @@ from cgkernel.words import Word, parse_word
 
 def transpositions():
     return [Permutation.transposition(4, i, i + 1) for i in (1, 2, 3)]
+
+
+def symmetric_coxeter(n):
+    """Coxeter presentation of S_n: s_i^2, (s_i s_i+1)^3, (s_i s_j)^2 for
+    |i - j| > 1."""
+    letters = [[(i, 1), (i, 1)] for i in range(1, n)]
+    letters += [[(i, 1), (j, 1)] * (3 if j == i + 1 else 2)
+                for i in range(1, n) for j in range(i + 1, n)]
+    return Presentation(n - 1, tuple(Word(n - 1, w) for w in letters))
+
+
+def fibonacci(n):
+    """F(2,n) = <x1..xn | x_i x_i+1 = x_i+2>, indices mod n."""
+    return Presentation(n, tuple(
+        Word(n, [(i + 1, 1), ((i + 1) % n + 1, 1), ((i + 2) % n + 1, -1)])
+        for i in range(n)))
+
+
+def coset_action_table(images, sub_images):
+    """Standard table of the right cosets Hx of H = <sub_images> in the
+    permutation group generated by images, computed on sets of permutations."""
+    n = images[0].n
+    subgroup = {Permutation.identity(n)}
+    todo = list(subgroup)
+    for x in todo:
+        for g in sub_images:
+            if x * g not in subgroup:
+                subgroup.add(x * g)
+                todo.append(x * g)
+    cols = [q for g in images for q in (g, g.inverse())]
+    number = {frozenset(subgroup): 0}
+    order = list(number)
+    rows = []
+    for coset in order:
+        row = []
+        for g in cols:
+            image = frozenset(h * g for h in coset)
+            if image not in number:
+                number[image] = len(order)
+                order.append(image)
+            row.append(number[image])
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def standardized(table):
+    """The table renumbered breadth first from coset 0, columns in order."""
+    number = {0: 0}
+    order = [0]
+    for c in order:
+        for d in table[c]:
+            if d not in number:
+                number[d] = len(order)
+                order.append(d)
+    return tuple(tuple(number[d] for d in table[c]) for c in order)
 
 
 class TestAbelianization:
@@ -66,6 +121,59 @@ class TestToddCoxeter:
         with pytest.raises(CosetLimitExceeded):
             todd_coxeter(p3, [p3.word("A13"), p3.word("A23")], max_cosets=300)
 
+    def test_sanov_table_is_in_standard_numbering(self):
+        pres = sl2z_presentation()
+        ct = todd_coxeter(pres, [pres.word("t t"), pres.word("t s t t s t")])
+        assert standardized(ct.table) == ct.table
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_symmetric_group_table_equals_regular_quotient_table(self, n):
+        # both producers number the cosets breadth first from coset 0, so the
+        # enumerated table of S_n is the table of its regular permutation image
+        pres = symmetric_coxeter(n)
+        images = [Permutation.transposition(n, i, i + 1) for i in range(1, n)]
+        assert todd_coxeter(pres, []).table == coset_table_from_quotient(pres, images).table
+
+    @pytest.mark.parametrize("pres, images", [
+        (parse_presentation("gens: a b\nrel: a^2\nrel: b^3\nrel: a b a b a b a b a b"),
+         [parse_cycles("(1,2)(3,4)", 5), parse_cycles("(1,3,5)", 5)]),         # A_5
+        (parse_presentation("gens: a b\nrel: a^5\nrel: b^7\nrel: a b A B"),
+         [parse_cycles("(1,2,3,4,5)", 12), parse_cycles("(6,7,8,9,10,11,12)", 12)]),
+        (symmetric_coxeter(4), transpositions()),
+    ])
+    def test_subgroup_tables_equal_permutation_coset_action(self, pres, images):
+        # each permutation image is faithful, so a subgroup's table is the
+        # action on the right cosets of the subgroup's image
+        def image(w):
+            p = Permutation.identity(images[0].n)
+            for i, e in w.letters:
+                p = p * (images[i - 1] if e == 1 else images[i - 1].inverse())
+            return p
+
+        rng = random.Random(0)
+        for _ in range(20):
+            gens = [Word(pres.ngens, [(rng.randrange(1, pres.ngens + 1), rng.choice((1, -1)))
+                                      for _ in range(rng.randint(1, 8))])
+                    for _ in range(rng.randint(1, 2))]
+            want = coset_action_table(images, [image(w) for w in gens])
+            assert todd_coxeter(pres, gens).table == want
+
+    def test_limit_bounds_rows_held(self):
+        pres = symmetric_coxeter(7)
+        assert todd_coxeter(pres, [], max_cosets=5040).index == 5040
+        with pytest.raises(CosetLimitExceeded):
+            todd_coxeter(pres, [], max_cosets=5039)
+        gens = [Word.gen(6, i) for i in range(1, 7)]
+        assert todd_coxeter(pres, gens, max_cosets=1).index == 1
+        with pytest.raises(CosetLimitExceeded):
+            todd_coxeter(pres, gens, max_cosets=0)
+
+    def test_merged_rows_are_compacted_at_the_limit(self):
+        # F(2,7) is cyclic of order 29 (Brunner 1974).  Its
+        # enumeration defines 33,239 rows in all, so it fits under a smaller
+        # limit only if the rows of merged cosets are reused.
+        assert todd_coxeter(fibonacci(7), [], max_cosets=33_237).index == 29
+
     def test_index_invariant_under_relator_presentation_changes(self):
         rng = random.Random(0)
         base = sl2z_presentation()
@@ -88,6 +196,20 @@ class TestToddCoxeter:
         for c in range(ct.ncosets):
             for r in pres.relators:
                 assert ct.trace(c, r) == c
+
+
+class TestValidate:
+    @pytest.mark.parametrize("pres, table", [
+        (Presentation(1, ()), ((0, 1), (0, 1))),
+        (Presentation(1, (Word(1, [(1, 1), (1, 1)]),)), ((1, 0), (0, 0))),
+        (Presentation(1, ()), ((1, 1), (2, 2), (0, 0))),
+        (Presentation(1, ()), ((0, 1), (1, 2))),
+        (Presentation(1, ()), ((0, -1), (1, 0))),
+        (Presentation(1, ()), ((1, None), (None, 0))),
+    ])
+    def test_columns_must_be_mutually_inverse_permutations(self, pres, table):
+        with pytest.raises(AssertionError, match="permutation|invert"):
+            CosetTable(pres, (), table).validate()
 
 
 class TestQuotientTables:
@@ -160,12 +282,8 @@ class TestReidemeisterSchreier:
         assert abelianization(reidemeister_schreier(ct)) == AbelianStructure(2, (2, 2, 2))
 
     def test_regular_kernel_of_s6_is_trivial(self):
-        # Coxeter presentation of S_6: s_i^2, (s_i s_i+1)^3, (s_i s_j)^2 for
-        # |i - j| > 1; the regular kernel's relation matrix is 10800 x 2881
-        letters = [[(i, 1), (i, 1)] for i in range(1, 6)]
-        letters += [[(i, 1), (j, 1)] * (3 if j == i + 1 else 2)
-                    for i in range(1, 6) for j in range(i + 1, 6)]
-        pres = Presentation(5, tuple(Word(5, w) for w in letters))
+        # the regular kernel's relation matrix is 10800 x 2881
+        pres = symmetric_coxeter(6)
         images = [Permutation.transposition(6, i, i + 1) for i in range(1, 6)]
         sub = reidemeister_schreier(coset_table_from_quotient(pres, images))
         assert (len(sub.relators), sub.ngens) == (10800, 2881)
