@@ -214,9 +214,6 @@ class GarsideNormalForm:
     def is_trivial(self) -> bool:
         return self.delta_power == 0 and not self.factors
 
-    def canonical_length(self) -> int:
-        return len(self.factors)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, GarsideNormalForm)
                 and self.n == other.n

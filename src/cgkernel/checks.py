@@ -738,7 +738,9 @@ def run_check(check_id: str, config: Config | None = None, **overrides) -> Check
 
 def run_all(config: Config | None = None) -> list[CheckResult]:
     """Run every registered check matching the config filter, in registry
-    order.  Per-check errors are captured in the results, never raised."""
+    order.  A check that exceeds its coset limit (CosetLimitExceeded) is
+    recorded as a failed result carrying the error; any other exception
+    propagates."""
     cfg = config or Config()
     results = []
     for cid in CHECK_IDS:

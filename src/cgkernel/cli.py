@@ -163,14 +163,14 @@ def _cmd_sl2word(args) -> int:
 def _cmd_subgroup(args) -> int:
     images = [parse_cycles(chunk.strip(), args.degree)
               for chunk in args.images.split(";")]
-    aut = from_quotient(args.rank, images)
+    ct = from_quotient(args.rank, images)
     if args.subgroup_command == "basis":
-        print(f"index: {aut.index}")
-        for w in aut.basis:
+        print(f"index: {ct.index}")
+        for w in ct.basis:
             print(format_word(w))
     else:
         w = parse_word(args.word, args.rank)
-        print(format_word(rewrite(aut, w), tuple(f"g{i}" for i in range(1, len(aut.basis) + 1))))
+        print(format_word(rewrite(ct, w), tuple(f"g{i}" for i in range(1, len(ct.basis) + 1))))
     return 0
 
 

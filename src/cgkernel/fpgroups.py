@@ -5,11 +5,12 @@ Schreier subgroup presentations, and abelianization.
 Coset tables use one column per generator and inverse, interleaved so that
 column ^ 1 is always the inverse column.  Coset 0 is the subgroup itself.
 Every finished table is in standard numbering: cosets are numbered breadth
-first from coset 0, trying the columns in the order g1, g1^-1, g2, ....  A
-subgroup has exactly one such table, so `todd_coxeter` and
-`coset_table_from_quotient` give the same table for the same subgroup, and
-tables, Schreier generators, and rewritten presentations are reproducible
-run to run.  A free group is a presentation without relators, so the same
+first from coset 0, trying the columns in the order g1, g1^-1, g2, ....  One
+breadth-first walk, `perms.orbit`, gives that numbering to both producers
+(and the elements of `perms.closure`).  A subgroup has exactly one such
+table, so `todd_coxeter` and `coset_table_from_quotient` give the same
+table for the same subgroup, and tables, Schreier generators, and rewritten
+presentations are reproducible run to run.  A free group is a presentation without relators, so the same
 table is the Schreier coset graph of a finite-index subgroup of a free group.
 """
 
@@ -20,7 +21,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .intlin import AbelianStructure, IntMatrix, cokernel
-from .perms import Permutation
+from .perms import Permutation, orbit, regular_orbit
 from .words import Word, default_names, format_word, parse_word
 
 
@@ -373,16 +374,7 @@ def todd_coxeter(pres: Presentation, subgens: Sequence[Word],
         c = define(c, x)
 
     # standard numbering: breadth first from coset 0, columns in order
-    number = [-1] * len(parent)
-    number[0] = 0
-    order = [0]
-    for c in order:
-        for col in table:
-            d = col[c]
-            if number[d] < 0:
-                number[d] = len(order)
-                order.append(d)
-    final = tuple(zip(*[[number[col[c]] for c in order] for col in table]))
+    _, final = orbit(0, lambda c: [col[c] for col in table])
     ct = CosetTable(pres, tuple(subgens), final)
     ct.validate()
     return ct
@@ -399,38 +391,12 @@ def coset_table_from_quotient(pres: Presentation,
     for g in images:
         if g.n != deg:
             raise ValueError("image degree mismatch")
-
-    def perm_of(w: Word) -> Permutation:
-        p = Permutation.identity(deg)
-        for i, s in w.letters:
-            p = p * (images[i - 1] if s == 1 else images[i - 1].inverse())
-        return p
-
+    _, rows = regular_orbit([h for g in images for h in (g, g.inverse())])
+    ct = CosetTable(pres, (), rows)
+    # the action is regular, so a relator closes at coset 0 iff its image is 1
     for r in pres.relators:
-        if not perm_of(r).is_identity():
+        if ct.trace(0, r) != 0:
             raise RelatorViolated(f"relator {format_word(r, pres.names)} not satisfied")
-
-    gens_and_invs = []
-    for g in images:
-        gens_and_invs.extend([g, g.inverse()])
-    ident = Permutation.identity(deg)
-    order = {ident: 0}
-    elements = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens_and_invs:
-                q = e * g
-                if q not in order:
-                    order[q] = len(elements)
-                    elements.append(q)
-                    nxt.append(q)
-        frontier = nxt
-    table = tuple(
-        tuple(order[e * g] for g in gens_and_invs) for e in elements
-    )
-    ct = CosetTable(pres, (), table)
     ct.validate()
     return ct
 

@@ -64,23 +64,11 @@ class IntMatrix:
             cols=other.cols,
         )
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        return IntMatrix(tuple(tuple(a + b for a, b in zip(r1, r2))
-                               for r1, r2 in zip(self.data, other.data)), cols=self.cols)
-
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch")
         return IntMatrix(tuple(tuple(a - b for a, b in zip(r1, r2))
                                for r1, r2 in zip(self.data, other.data)), cols=self.cols)
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-a for a in row) for row in self.data), cols=self.cols)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.data)) if self.data else (), cols=self.rows)
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
@@ -104,9 +92,6 @@ class IntMatrix:
                 m[i][k] = 0
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
-
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(self.det()) == 1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and self.cols == other.cols and self.data == other.data

@@ -1,11 +1,14 @@
-"""Permutations of small degree, brute-force subgroup closure, normality, and
-the pair-partition quotient S4 -> S3."""
+"""Permutations of small degree, the breadth-first orbit that numbers every
+coset table, brute-force subgroup closure, normality, and the pair-partition
+quotient S4 -> S3."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
-MAX_CLOSURE_DEGREE = 8  # every group we ever enumerate lives in S_4/S_5
+# closure returns every element as a Permutation; degree 8 (40,320
+# elements) bounds that set, not the orbits that coset tables walk
+MAX_CLOSURE_DEGREE = 8
 
 
 class Permutation:
@@ -49,14 +52,6 @@ class Permutation:
         return Permutation(inv)
 
     __invert__ = inverse
-
-    def __pow__(self, k: int) -> "Permutation":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Permutation.identity(self.n)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def is_identity(self) -> bool:
         return all(self.mapping[i] == i + 1 for i in range(self.n))
@@ -114,9 +109,41 @@ def format_cycles(p: Permutation) -> str:
     return "".join("(" + ",".join(str(x) for x in c) + ")" for c in cyc)
 
 
+def orbit(start: Hashable, neighbours: Callable[[Hashable], Sequence[Hashable]]
+          ) -> tuple[list, tuple[tuple[int, ...], ...]]:
+    """Breadth-first orbit of ``start``.  ``neighbours(p)`` gives p's image
+    under each column, in column order.  Points are numbered in the order
+    they are found, so ``start`` is 0; returns the points and, for each, its
+    row of neighbour numbers.  This is the standard numbering of a coset
+    table when the points are cosets and the columns g1, g1^-1, g2, ...."""
+    number = {start: 0}
+    points = [start]
+    rows = []
+    for p in points:
+        row = []
+        for q in neighbours(p):
+            k = number.get(q)
+            if k is None:
+                k = number[q] = len(points)
+                points.append(q)
+            row.append(k)
+        rows.append(tuple(row))
+    return points, tuple(rows)
+
+
+def regular_orbit(gens: Sequence[Permutation]) -> tuple[list, tuple[tuple[int, ...], ...]]:
+    """`orbit` of the identity under right multiplication by ``gens``: the
+    mapping tuples of the group they generate, and the products' numbers.
+    Each product is composed once, and no Permutation is built."""
+    cols = [(0,) + g.mapping for g in gens]  # 1-based lookup: p * g is g[p[i]]
+    return orbit(tuple(range(1, gens[0].n + 1)),
+                 lambda p: [tuple(map(g.__getitem__, p)) for g in cols])
+
+
 def closure(gens: Iterable[Permutation], degree: int | None = None) -> frozenset[Permutation]:
-    """Subgroup generated, by breadth-first closure under right multiplication.
-    An empty generating set needs an explicit degree and yields {identity}."""
+    """Subgroup generated: the orbit of the identity under right
+    multiplication by the generators.  An empty generating set needs an
+    explicit degree and yields {identity}."""
     gens = list(gens)
     if not gens:
         if degree is None:
@@ -130,18 +157,7 @@ def closure(gens: Iterable[Permutation], degree: int | None = None) -> frozenset
     for g in gens:
         if g.n != n:
             raise ValueError("degree mismatch among generators")
-    seen = {Permutation.identity(n)}
-    frontier = [Permutation.identity(n)]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = p * g
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return frozenset(seen)
+    return frozenset(map(Permutation, regular_orbit(gens)[0]))
 
 
 def is_normal(sub: Iterable[Permutation], grp: Iterable[Permutation]) -> bool:

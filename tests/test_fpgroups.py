@@ -1,6 +1,8 @@
 """Coset enumeration, quotient tables, Reidemeister-Schreier, abelianization."""
 
+import math
 import random
+import re
 
 import pytest
 
@@ -14,7 +16,7 @@ from cgkernel.fpgroups import (CosetLimitExceeded, CosetTable, Presentation, Rel
                                sl2z_presentation, todd_coxeter)
 from cgkernel.intlin import AbelianStructure
 from cgkernel.perms import Permutation, parse_cycles, quotient_map_s4_to_s3
-from cgkernel.words import Word, parse_word
+from cgkernel.words import Word, format_word, parse_word
 
 
 def transpositions():
@@ -62,6 +64,27 @@ def coset_action_table(images, sub_images):
             row.append(number[image])
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def image_of(images, w):
+    """The image of w under generator i -> images[i - 1], letter by letter."""
+    p = Permutation.identity(images[0].n)
+    for i, e in w.letters:
+        p = p * (images[i - 1] if e == 1 else images[i - 1].inverse())
+    return p
+
+
+def sl2_mod_images(n):
+    """S = [[0,-1],[1,0]] and T = [[1,1],[0,1]] acting on the nonzero row
+    vectors of (Z/N)^2 by v -> vM: the quotient SL(2,Z) -> SL(2,Z/N)."""
+    vecs = [(x, y) for x in range(n) for y in range(n) if (x, y) != (0, 0)]
+    pos = {v: i + 1 for i, v in enumerate(vecs)}
+
+    def perm(m):
+        (a, b), (c, d) = m
+        return Permutation([pos[((x * a + y * c) % n, (x * b + y * d) % n)] for x, y in vecs])
+
+    return [perm(((0, -1), (1, 0))), perm(((1, 1), (0, 1)))]
 
 
 def standardized(table):
@@ -144,18 +167,12 @@ class TestToddCoxeter:
     def test_subgroup_tables_equal_permutation_coset_action(self, pres, images):
         # each permutation image is faithful, so a subgroup's table is the
         # action on the right cosets of the subgroup's image
-        def image(w):
-            p = Permutation.identity(images[0].n)
-            for i, e in w.letters:
-                p = p * (images[i - 1] if e == 1 else images[i - 1].inverse())
-            return p
-
         rng = random.Random(0)
         for _ in range(20):
             gens = [Word(pres.ngens, [(rng.randrange(1, pres.ngens + 1), rng.choice((1, -1)))
                                       for _ in range(rng.randint(1, 8))])
                     for _ in range(rng.randint(1, 2))]
-            want = coset_action_table(images, [image(w) for w in gens])
+            want = coset_action_table(images, [image_of(images, w) for w in gens])
             assert todd_coxeter(pres, gens).table == want
 
     def test_limit_bounds_rows_held(self):
@@ -229,12 +246,53 @@ class TestQuotientTables:
                                        [Permutation.identity(1)] * 2)
         assert ct.index == 1
 
+    @pytest.mark.parametrize("pres, images", [
+        *[(sl2z_presentation(), sl2_mod_images(n)) for n in range(3, 8)],
+        (braid_mod_center_presentation(4), transpositions()),
+        (braid_mod_center_presentation(4),
+         [parse_cycles(c, 3) for c in ("(2,3)", "(1,2)", "(2,3)")]),
+        (parse_presentation("gens: a b\nrel: a^2\nrel: b^3\nrel: a b a b a b a b a b"),
+         [parse_cycles("(1,2)(3,4)", 5), parse_cycles("(1,3,5)", 5)]),
+        # the Frobenius group of order 21 has no anti-automorphism fixing
+        # both images, so a left action in place of the right one shows here
+        (parse_presentation("gens: a b"),
+         [parse_cycles("(1,2,3,4,5,6,7)", 7), parse_cycles("(2,3,5)(4,7,6)", 7)]),
+    ], ids=[*(f"SL2_mod{n}" for n in range(3, 8)), "K4", "GammaPlus", "A5", "F21"])
+    def test_regular_action_matches_permutation_products(self, pres, images):
+        # the table is the regular action of the image group, so a word
+        # returns to coset 0 exactly when its image is the identity
+        ct = coset_table_from_quotient(pres, images)
+        assert standardized(ct.table) == ct.table
+        rng = random.Random(5)
+
+        def random_word(length):
+            return Word(pres.ngens, [(rng.randrange(1, pres.ngens + 1), rng.choice((1, -1)))
+                                     for _ in range(length)])
+
+        outcomes = set()
+        for k in range(200):
+            w = random_word(rng.randint(0, 16))
+            if k % 2:  # a power of w with trivial image, seldom trivial in the group
+                w = w ** math.lcm(*map(len, image_of(images, w).cycles()))
+            trivial = image_of(images, w).is_identity()
+            assert (ct.trace(0, w) == 0) == trivial
+            outcomes.add(trivial)
+        assert outcomes == {True, False}
+
     def test_relator_violation_detected(self):
         with pytest.raises(RelatorViolated):
             coset_table_from_quotient(
                 braid_mod_center_presentation(4),
                 [parse_cycles("(1,2)", 4), parse_cycles("(1,2)", 4),
                  parse_cycles("(1,2,3,4)", 4)])
+
+    def test_every_relator_is_checked(self):
+        # s = 1, t = (1,2) satisfies s^4 but not the last relator (st)^3 s^-2
+        pres = sl2z_presentation()
+        last = format_word(pres.relators[-1], pres.names)
+        with pytest.raises(RelatorViolated, match=re.escape(last)):
+            coset_table_from_quotient(pres, [Permutation.identity(2),
+                                             parse_cycles("(1,2)", 2)])
 
 
 class TestReidemeisterSchreier:

@@ -70,6 +70,23 @@ def test_lagrange_on_generated_subgroups():
         assert sub <= s4
 
 
+def test_closure_is_the_generated_subgroup_of_s5():
+    rng = random.Random(3)
+    s5 = [Permutation(m) for m in itertools.permutations(range(1, 6))]
+    for _ in range(20):
+        gens = rng.sample(s5, rng.randint(1, 3))
+        sub = closure(gens)
+        assert set(gens) <= sub
+        assert all(a * b in sub for a in sub for b in sub)
+        assert all(a.inverse() in sub for a in sub)
+        assert 120 % len(sub) == 0
+        # every element is a product of generators: words of growing length
+        words = {Permutation.identity(5)}
+        while (longer := words | {w * g for w in words for g in gens}) != words:
+            words = longer
+        assert sub == words
+
+
 def test_quotient_kernel_is_klein():
     q = quotient_map_s4_to_s3()
     s4 = closure([p("(1,2)"), p("(1,2,3,4)")])
