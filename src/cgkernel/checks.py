@@ -12,7 +12,8 @@ import fnmatch
 import random
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from functools import cache
+from typing import Any, Callable, Sequence
 
 from . import braids, perms, subgroups
 from .braids import (BraidWord, braid_action, braid_equal, braid_perm,
@@ -26,7 +27,8 @@ from .fpgroups import (CosetLimitExceeded, CosetTable, abelianization,
                        pure_braid3_mod_center_presentation,
                        pure_braid3_presentation, reidemeister_schreier,
                        sl2z_presentation, todd_coxeter)
-from .perms import Permutation, closure, is_normal, parse_cycles, quotient_map_s4_to_s3
+from .perms import (DEFAULT_MAX_COSETS, Permutation, closure, is_normal,
+                    parse_cycles, quotient_map_s4_to_s3)
 from .subgroups import from_quotient, restrict_hom
 from .words import (Aut, FreeHom, SemidirectElement, Word, compose,
                     format_word, parse_word, transvection)
@@ -40,7 +42,7 @@ class UnknownCheck(KeyError):
 class Config:
     """Runtime knobs shared by all checks."""
 
-    max_cosets: int = 100_000
+    max_cosets: int = DEFAULT_MAX_COSETS
     check_filter: tuple[str, ...] = ("*",)
     seed: int = 0
 
@@ -155,6 +157,10 @@ XI_IMAGE_TABLE: dict[str, str] = {"a": "(1,2)(3,4)", "b": "(1,3)(2,4)"}
 
 
 # --- shared constructions ----------------------------------------------------
+#
+# The @cache'd constructions are built once per process and shared by every
+# check that reads them, so each returns an immutable value and is keyed by
+# the only input it reads (nothing, or the coset limit).
 
 
 def nielsen_generators() -> tuple[Aut, Aut]:
@@ -162,6 +168,7 @@ def nielsen_generators() -> tuple[Aut, Aut]:
     return transvection(2, 1, 2), transvection(2, 2, 1)
 
 
+@cache
 def parity_stabilizer_generators() -> tuple[Aut, ...]:
     """Four special automorphisms of F_2 that stabilize the kernel of the
     parity map (a -> 0, b -> 1) and, with the inner automorphisms, generate
@@ -185,9 +192,10 @@ def mod2_homology_subgroup() -> CosetTable:
     return from_quotient(2, [parse_cycles("(1,2)(3,4)", 4), parse_cycles("(1,3)(2,4)", 4)])
 
 
-def restricted_stabilizer_matrices() -> list[IntMatrix]:
+@cache
+def restricted_stabilizer_matrices() -> tuple[IntMatrix, ...]:
     sub = parity_subgroup()
-    return [hom_matrix(restrict_hom(sub, g)) for g in parity_stabilizer_generators()]
+    return tuple(hom_matrix(restrict_hom(sub, g)) for g in parity_stabilizer_generators())
 
 
 def strand_transpositions() -> list[Permutation]:
@@ -251,10 +259,21 @@ def _monodromy_generator_matrices(n: int) -> list[IntMatrix]:
     return mats
 
 
-def random_semidirect_element(rng: random.Random, n: int,
-                              max_len: int = 4) -> SemidirectElement:
+def semidirect_twists() -> tuple[Aut, ...]:
+    """The base twists of random semidirect elements: lambda^2, rho^2 and
+    their inverses, in the order `random_semidirect_element` draws from."""
     lam, rho = nielsen_generators()
-    mus = [lam * lam, rho * rho, (lam * lam) ** -1, (rho * rho) ** -1]
+    return lam * lam, rho * rho, (lam * lam) ** -1, (rho * rho) ** -1
+
+
+def random_semidirect_element(rng: random.Random, n: int, max_len: int = 4,
+                              twists: Sequence[Aut] | None = None) -> SemidirectElement:
+    """A random element with words of up to ``max_len`` letters and its base
+    drawn from ``twists`` (default `semidirect_twists()`, built per call; pass
+    one prebuilt sequence when drawing many).  Building the twists draws
+    nothing from ``rng``."""
+    if twists is None:
+        twists = semidirect_twists()
 
     def rand_word() -> Word:
         letters = [(rng.randint(1, 2), rng.choice((1, -1)))
@@ -263,7 +282,7 @@ def random_semidirect_element(rng: random.Random, n: int,
 
     left = tuple(rand_word() for _ in range(n - 2))
     right = tuple(rand_word() for _ in range(n - 2))
-    return SemidirectElement(n, left, right, rng.choice(mus))
+    return SemidirectElement(n, left, right, rng.choice(twists))
 
 
 # --- the checks ---------------------------------------------------------------
@@ -352,13 +371,14 @@ def _chk_sanov_index12(cfg: Config):
     return ct.index == 12, {"index": 12}, {"index": ct.index}
 
 
-def _gamma2_abelianization(cfg: Config) -> tuple[int, AbelianStructure]:
-    ct = coset_table_from_quotient(sl2z_presentation(), sl2z2_images())
+@cache
+def _gamma2_abelianization(max_cosets: int) -> tuple[int, AbelianStructure]:
+    ct = coset_table_from_quotient(sl2z_presentation(), sl2z2_images(), max_cosets)
     return ct.index, abelianization(reidemeister_schreier(ct))
 
 
 def _chk_gamma2_ab(cfg: Config):
-    index, ab = _gamma2_abelianization(cfg)
+    index, ab = _gamma2_abelianization(cfg.max_cosets)
     want = AbelianStructure(2, (2,))
     return (index == 6 and ab == want), \
         {"index": 6, "abelianization": _ab(want)}, \
@@ -366,7 +386,7 @@ def _chk_gamma2_ab(cfg: Config):
 
 
 def _chk_gamma2_b1(cfg: Config):
-    _, ab = _gamma2_abelianization(cfg)
+    _, ab = _gamma2_abelianization(cfg.max_cosets)
     return ab.free_rank == 2, {"b1": 2}, {"b1": ab.free_rank}
 
 
@@ -397,14 +417,15 @@ def _chk_h_invariants(cfg: Config):
     return rank == 1, {"invariants_rank": 1}, {"invariants_rank": rank}
 
 
-def _k4_abelianization(cfg: Config) -> tuple[int, AbelianStructure]:
+@cache
+def _k4_abelianization(max_cosets: int) -> tuple[int, AbelianStructure]:
     ct = coset_table_from_quotient(braid_mod_center_presentation(4),
-                                   strand_transpositions())
+                                   strand_transpositions(), max_cosets)
     return ct.index, abelianization(reidemeister_schreier(ct))
 
 
 def _chk_k4_b1(cfg: Config):
-    index, ab = _k4_abelianization(cfg)
+    index, ab = _k4_abelianization(cfg.max_cosets)
     want = AbelianStructure(5, ())
     return (index == 24 and ab == want), \
         {"cosets": 24, "abelianization": _ab(want)}, \
@@ -412,8 +433,8 @@ def _chk_k4_b1(cfg: Config):
 
 
 def _chk_k4_excessive(cfg: Config):
-    _, k4_ab = _k4_abelianization(cfg)
-    _, g2_ab = _gamma2_abelianization(cfg)
+    _, k4_ab = _k4_abelianization(cfg.max_cosets)
+    _, g2_ab = _gamma2_abelianization(cfg.max_cosets)
     ok = k4_ab.free_rank > g2_ab.free_rank and (k4_ab.free_rank, g2_ab.free_rank) == (5, 2)
     return ok, {"fiber_b1": 5, "base_b1": 2}, \
         {"fiber_b1": k4_ab.free_rank, "base_b1": g2_ab.free_rank}
@@ -422,7 +443,8 @@ def _chk_k4_excessive(cfg: Config):
 def _chk_gammaplus_ab(cfg: Config):
     q = quotient_map_s4_to_s3()
     images = [q(t) for t in strand_transpositions()]
-    ct = coset_table_from_quotient(braid_mod_center_presentation(4), images)
+    ct = coset_table_from_quotient(braid_mod_center_presentation(4), images,
+                                   cfg.max_cosets)
     ab = abelianization(reidemeister_schreier(ct))
     want = AbelianStructure(2, (2, 2, 2))
     return (ct.index == 6 and ab == want), \
@@ -573,11 +595,12 @@ def _chk_j_rank5(cfg: Config):
 
 def _chk_phi_hom_property(cfg: Config, cases: int = 200):
     rng = random.Random(cfg.seed)
+    twists = semidirect_twists()
     failures = 0
     for _ in range(cases):
         n = rng.randint(3, 5)
-        k1 = random_semidirect_element(rng, n)
-        k2 = random_semidirect_element(rng, n)
+        k1 = random_semidirect_element(rng, n, twists=twists)
+        k2 = random_semidirect_element(rng, n, twists=twists)
         lhs = compose(k1.to_hom(), k2.to_hom())
         rhs = (k1 * k2).to_hom()
         if lhs != rhs:

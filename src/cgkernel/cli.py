@@ -17,7 +17,7 @@ from .checks import CHECK_IDS, Config, UnknownCheck, run_all
 from .fpgroups import (CosetLimitExceeded, abelianization, parse_presentation,
                        reidemeister_schreier, todd_coxeter)
 from .intlin import format_matrix, format_st, parse_matrix, sl2_word, smith_normal_form
-from .perms import format_cycles, parse_cycles
+from .perms import DEFAULT_MAX_COSETS, format_cycles, parse_cycles
 from .subgroups import from_quotient, rewrite
 from .words import format_word, parse_word
 
@@ -25,13 +25,14 @@ ENV_MAX_COSETS = "CGKERNEL_MAX_COSETS"
 
 
 def _max_cosets(flag: int | None) -> int:
-    """The coset limit: --max-cosets, else $CGKERNEL_MAX_COSETS, else 100000."""
+    """The coset limit: --max-cosets, else $CGKERNEL_MAX_COSETS, else
+    DEFAULT_MAX_COSETS (100000)."""
     if flag is not None:
         limit = flag
     else:
         raw = os.environ.get(ENV_MAX_COSETS)
         if raw is None:
-            return 100_000
+            return DEFAULT_MAX_COSETS
         try:
             limit = int(raw)
         except ValueError:
@@ -84,6 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="degree of the permutation images")
         q.add_argument("--images", required=True,
                        help="semicolon-separated cycle notation, one per generator")
+        q.add_argument("--max-cosets", type=int, default=None)
         if name == "rewrite":
             q.add_argument("word")
     return top
@@ -163,14 +165,14 @@ def _cmd_sl2word(args) -> int:
 def _cmd_subgroup(args) -> int:
     images = [parse_cycles(chunk.strip(), args.degree)
               for chunk in args.images.split(";")]
-    ct = from_quotient(args.rank, images)
+    ct = from_quotient(args.rank, images, _max_cosets(args.max_cosets))
     if args.subgroup_command == "basis":
         print(f"index: {ct.index}")
         for w in ct.basis:
             print(format_word(w))
     else:
-        w = parse_word(args.word, args.rank)
-        print(format_word(rewrite(ct, w), tuple(f"g{i}" for i in range(1, len(ct.basis) + 1))))
+        rewritten = rewrite(ct, parse_word(args.word, args.rank))
+        print(format_word(rewritten, tuple(f"g{i}" for i in range(1, rewritten.rank + 1))))
     return 0
 
 

@@ -21,12 +21,9 @@ from functools import cached_property
 from typing import Sequence
 
 from .intlin import AbelianStructure, IntMatrix, cokernel
-from .perms import Permutation, orbit, regular_orbit
+from .perms import (DEFAULT_MAX_COSETS, CosetLimitExceeded, Permutation, orbit,
+                    regular_orbit)
 from .words import Word, default_names, format_word, parse_word
-
-
-class CosetLimitExceeded(RuntimeError):
-    """Enumeration passed max_cosets: infinite index or a too-small limit."""
 
 
 class RelatorViolated(ValueError):
@@ -188,7 +185,7 @@ class CosetTable:
 
 
 def todd_coxeter(pres: Presentation, subgens: Sequence[Word],
-                 max_cosets: int = 100_000) -> CosetTable:
+                 max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTable:
     """Felsch-style coset enumeration of the subgroup generated by ``subgens``.
 
     The subgroup generators are traced from coset 0, defining cosets as
@@ -380,18 +377,20 @@ def todd_coxeter(pres: Presentation, subgens: Sequence[Word],
     return ct
 
 
-def coset_table_from_quotient(pres: Presentation,
-                              images: Sequence[Permutation]) -> CosetTable:
+def coset_table_from_quotient(pres: Presentation, images: Sequence[Permutation],
+                              max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTable:
     """Coset table of the kernel of the homomorphism sending generator i to
     images[i], acting on the image group regularly.  Coset 0 is the identity;
-    the elements are in standard numbering."""
+    the elements are in standard numbering.  The index is the order of the
+    image group; when it passes ``max_cosets`` the walk stops there with
+    CosetLimitExceeded."""
     if len(images) != pres.ngens:
         raise ValueError("one image per generator")
     deg = images[0].n
     for g in images:
         if g.n != deg:
             raise ValueError("image degree mismatch")
-    _, rows = regular_orbit([h for g in images for h in (g, g.inverse())])
+    _, rows = regular_orbit([h for g in images for h in (g, g.inverse())], max_cosets)
     ct = CosetTable(pres, (), rows)
     # the action is regular, so a relator closes at coset 0 iff its image is 1
     for r in pres.relators:

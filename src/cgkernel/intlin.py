@@ -10,7 +10,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import compress
+from itertools import compress, groupby
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -394,19 +394,21 @@ def monodromy_matrix(elem: SemidirectElement) -> IntMatrix:
 ST_NAMES = ("s", "t")
 S_MAT = IntMatrix(((0, -1), (1, 0)))
 T_MAT = IntMatrix(((1, 1), (0, 1)))
-_S_INV = IntMatrix(((0, 1), (-1, 0)))
-_T_INV = IntMatrix(((1, -1), (0, 1)))
+# S^k by k mod 4, since S^2 = -I
+_S_POWERS = (IntMatrix.identity(2), S_MAT, IntMatrix(((-1, 0), (0, -1))),
+             IntMatrix(((0, 1), (-1, 0))))
 
 
 def eval_st(w: Word) -> IntMatrix:
     """Evaluate a rank-2 word (generator 1 = S, generator 2 = T) by matrix
-    product in word order."""
+    product in word order, one product per run of equal letters: a run
+    S^k is S^(k mod 4) and a run T^k is [[1, k], [0, 1]]."""
     if w.rank != 2:
         raise ValueError("S/T words have rank 2")
     out = IntMatrix.identity(2)
-    for idx, sign in w.letters:
-        out = out * ((S_MAT if sign == 1 else _S_INV) if idx == 1
-                     else (T_MAT if sign == 1 else _T_INV))
+    for (idx, sign), run in groupby(w.letters):
+        k = sign * sum(1 for _ in run)
+        out = out * (_S_POWERS[k % 4] if idx == 1 else IntMatrix(((1, k), (0, 1))))
     return out
 
 

@@ -10,6 +10,14 @@ from typing import Callable, Hashable, Iterable, Sequence
 # elements) bounds that set, not the orbits that coset tables walk
 MAX_CLOSURE_DEGREE = 8
 
+# the coset limit every coset table is built under unless told otherwise
+DEFAULT_MAX_COSETS = 100_000
+
+
+class CosetLimitExceeded(RuntimeError):
+    """A coset table passed its coset limit: infinite index or a too-small
+    limit."""
+
 
 class Permutation:
     """Bijection of {1..n}; composition is diagrammatic (p then q)."""
@@ -109,13 +117,17 @@ def format_cycles(p: Permutation) -> str:
     return "".join("(" + ",".join(str(x) for x in c) + ")" for c in cyc)
 
 
-def orbit(start: Hashable, neighbours: Callable[[Hashable], Sequence[Hashable]]
-          ) -> tuple[list, tuple[tuple[int, ...], ...]]:
+def orbit(start: Hashable, neighbours: Callable[[Hashable], Sequence[Hashable]],
+          limit: int | None = None) -> tuple[list, tuple[tuple[int, ...], ...]]:
     """Breadth-first orbit of ``start``.  ``neighbours(p)`` gives p's image
     under each column, in column order.  Points are numbered in the order
     they are found, so ``start`` is 0; returns the points and, for each, its
     row of neighbour numbers.  This is the standard numbering of a coset
-    table when the points are cosets and the columns g1, g1^-1, g2, ...."""
+    table when the points are cosets and the columns g1, g1^-1, g2, ....
+    With a ``limit``, the walk raises CosetLimitExceeded as soon as it finds
+    more than ``limit`` points."""
+    if limit is not None and limit < 1:  # no room for the start
+        raise CosetLimitExceeded(f"orbit exceeded {limit} cosets")
     number = {start: 0}
     points = [start]
     rows = []
@@ -125,19 +137,22 @@ def orbit(start: Hashable, neighbours: Callable[[Hashable], Sequence[Hashable]]
             k = number.get(q)
             if k is None:
                 k = number[q] = len(points)
+                if limit is not None and k >= limit:
+                    raise CosetLimitExceeded(f"orbit exceeded {limit} cosets")
                 points.append(q)
             row.append(k)
         rows.append(tuple(row))
     return points, tuple(rows)
 
 
-def regular_orbit(gens: Sequence[Permutation]) -> tuple[list, tuple[tuple[int, ...], ...]]:
+def regular_orbit(gens: Sequence[Permutation], limit: int | None = None
+                  ) -> tuple[list, tuple[tuple[int, ...], ...]]:
     """`orbit` of the identity under right multiplication by ``gens``: the
     mapping tuples of the group they generate, and the products' numbers.
     Each product is composed once, and no Permutation is built."""
     cols = [(0,) + g.mapping for g in gens]  # 1-based lookup: p * g is g[p[i]]
     return orbit(tuple(range(1, gens[0].n + 1)),
-                 lambda p: [tuple(map(g.__getitem__, p)) for g in cols])
+                 lambda p: [tuple(map(g.__getitem__, p)) for g in cols], limit)
 
 
 def closure(gens: Iterable[Permutation], degree: int | None = None) -> frozenset[Permutation]:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .fpgroups import (CosetTable, NotMember, Presentation,
                        coset_table_from_quotient, rewrite_in_subgroup)
-from .perms import Permutation
+from .perms import DEFAULT_MAX_COSETS, Permutation
 from .words import Aut, FreeHom, Word
 
 
@@ -21,9 +21,11 @@ class NotStabilized(ValueError):
     """Automorphism does not map the subgroup onto itself."""
 
 
-def from_quotient(rank: int, images: Sequence[Permutation]) -> CosetTable:
-    """Coset table of the kernel of F_rank -> <images>; index = image order."""
-    return coset_table_from_quotient(Presentation(rank, ()), images)
+def from_quotient(rank: int, images: Sequence[Permutation],
+                  max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTable:
+    """Coset table of the kernel of F_rank -> <images>; index = image order,
+    at most ``max_cosets`` (else CosetLimitExceeded)."""
+    return coset_table_from_quotient(Presentation(rank, ()), images, max_cosets)
 
 
 def membership(ct: CosetTable, w: Word) -> bool:

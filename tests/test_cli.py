@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -277,6 +278,24 @@ class TestSubgroup:
         code, _, err = run_cli(capsys, "subgroup", "rewrite", "-r", "2", "-d", "2",
                                "--images", "id;(1,2)", "b")
         assert code == 2
+
+    def test_limit_bounds_cosets(self, capsys, monkeypatch):
+        # the 8-cycle and (1,2) generate S_8: 40,320 cosets
+        s8 = ("-d", "8", "--images", "(1,2,3,4,5,6,7,8);(1,2)")
+        code, out, _ = run_cli(capsys, "subgroup", "rewrite", "-r", "2", *s8, "a^8",
+                               "--max-cosets", "40320")
+        assert code == 0 and out == "g8\n"
+        monkeypatch.setenv("CGKERNEL_MAX_COSETS", "40319")
+        code, _, err = run_cli(capsys, "subgroup", "basis", "-r", "2", *s8)
+        assert code == 3 and "exceeded 40319 cosets" in err
+
+    def test_default_limit_stops_a_huge_quotient(self, capsys):
+        # 12! = 479,001,600 cosets; the default limit stops the walk at 100,000
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "subgroup", "basis", "-r", "2", "-d", "12",
+                                 "--images", "(1,2,3,4,5,6,7,8,9,10,11,12);(1,2)")
+        assert time.perf_counter() - start < 3
+        assert (code, out) == (3, "") and "exceeded 100000 cosets" in err
 
 
 def test_usage_error_exit_code(capsys):

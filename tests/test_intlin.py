@@ -1,6 +1,7 @@
 """Smith normal form, cokernels, coinvariants, and SL(2,Z) words."""
 
 import random
+import time
 from itertools import combinations
 from math import gcd
 
@@ -10,6 +11,7 @@ from cgkernel.intlin import (AbelianStructure, IntMatrix, coinvariants,
                              cokernel, eval_st, format_matrix, format_st,
                              invariants_rank, parse_matrix, parse_st, rank_q,
                              sl2_word, smith_normal_form)
+from cgkernel.words import Word
 
 # homology actions of the four parity-stabilizer automorphisms restricted to
 # the index-2 kernel, in the Schreier basis (a, b a b^-1, b^2); frozen from an
@@ -213,6 +215,38 @@ class TestSL2Words:
                 for _ in range(rng.randint(0, 30))))
             m = eval_st(word)
             assert eval_st(sl2_word(m)) == m
+
+    def test_runs_match_letter_by_letter_product(self):
+        # eval_st multiplies one closed form per run; the reference multiplies
+        # one generator matrix per letter
+        letter_mats = {(1, 1): IntMatrix(((0, -1), (1, 0))),
+                       (1, -1): IntMatrix(((0, 1), (-1, 0))),
+                       (2, 1): IntMatrix(((1, 1), (0, 1))),
+                       (2, -1): IntMatrix(((1, -1), (0, 1)))}
+        rng = random.Random(11)
+        long_runs = 0
+        for _ in range(500):
+            letters = []
+            for _ in range(rng.randint(0, 6)):
+                run = rng.randint(1, 12)
+                letters += [(rng.randint(1, 2), rng.choice((1, -1)))] * run
+                long_runs += run > 4
+            word = Word(2, letters)
+            want = IntMatrix.identity(2)
+            for letter in word.letters:
+                want = want * letter_mats[letter]
+            assert eval_st(word) == want
+        assert long_runs > 500
+
+    def test_long_translation_power(self):
+        # one run of 300000 letters: a closed form, not 300000 products
+        m = IntMatrix(((1, 300000), (0, 1)))
+        start = time.perf_counter()
+        word = sl2_word(m)
+        assert time.perf_counter() - start < 1.5
+        assert format_st(word) == "t^300000"
+        # s^-7 = s and s^5 = s, and s t^-k s = -(s t^-k s^-1)
+        assert eval_st(parse_st("s^-7 t^-300000 s^5")) == IntMatrix(((-1, 0), (-300000, -1)))
 
     def test_rejects_wrong_determinant(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from cgkernel.perms import (Permutation, closure, format_cycles, is_normal,
-                            parse_cycles, quotient_map_s4_to_s3)
+from cgkernel.perms import (CosetLimitExceeded, Permutation, closure,
+                            format_cycles, is_normal, orbit, parse_cycles,
+                            quotient_map_s4_to_s3, regular_orbit)
 
 
 def p(text, n=4):
@@ -85,6 +86,30 @@ def test_closure_is_the_generated_subgroup_of_s5():
         while (longer := words | {w * g for w in words for g in gens}) != words:
             words = longer
         assert sub == words
+
+
+def test_orbit_limit_stops_an_infinite_walk():
+    # the integers under n -> n + 1: no end, so only the limit stops it
+    visited = []
+
+    def step(n):
+        visited.append(n)
+        return [n + 1]
+
+    with pytest.raises(CosetLimitExceeded, match="exceeded 5 cosets"):
+        orbit(0, step, limit=5)
+    assert visited == [0, 1, 2, 3, 4]
+    with pytest.raises(CosetLimitExceeded):
+        orbit(0, step, limit=0)
+
+
+def test_regular_orbit_limit_is_the_group_order():
+    gens = [p("(1,2)"), p("(1,2,3,4)")]
+    points, rows = regular_orbit(gens, limit=24)
+    assert len(points) == len(rows) == 24
+    assert (points, rows) == regular_orbit(gens)
+    with pytest.raises(CosetLimitExceeded):
+        regular_orbit(gens, limit=23)
 
 
 def test_quotient_kernel_is_klein():

@@ -142,16 +142,19 @@ class TestHom:
             assert hom_matrix(compose(f, g)) == hom_matrix(f) * hom_matrix(g)
 
 
-def rand_semidirect(rng, n, max_len=4):
-    mus = [lam() * lam(), rho() * rho(), (lam() * lam()) ** -1, (rho() * rho()) ** -1]
+# the base twists rand_semidirect draws from, built once: building them draws
+# nothing from the rng, so the random stream is the same as building per call
+MUS = (lam() * lam(), rho() * rho(), (lam() * lam()) ** -1, (rho() * rho()) ** -1)
 
+
+def rand_semidirect(rng, n, max_len=4):
     def rand_word():
         return Word(2, [(rng.randint(1, 2), rng.choice((1, -1)))
                         for _ in range(rng.randint(0, max_len))])
 
     return SemidirectElement(n, tuple(rand_word() for _ in range(n - 2)),
                              tuple(rand_word() for _ in range(n - 2)),
-                             rng.choice(mus))
+                             rng.choice(MUS))
 
 
 class TestSemidirectElement:
