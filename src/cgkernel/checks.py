@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import cache
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from . import braids, perms, subgroups
 from .braids import (BraidWord, braid_action, braid_equal, braid_perm,
@@ -182,19 +182,20 @@ def parity_stabilizer_generators() -> tuple[Aut, ...]:
     )
 
 
-def parity_subgroup() -> CosetTable:
+def parity_subgroup(max_cosets: int) -> CosetTable:
     """H = kernel of F_2 -> Z/2 sending a to 0 and b to 1 (index 2, rank 3)."""
-    return from_quotient(2, [Permutation.identity(2), Permutation((2, 1))])
+    return from_quotient(2, [Permutation.identity(2), Permutation((2, 1))], max_cosets)
 
 
-def mod2_homology_subgroup() -> CosetTable:
+def mod2_homology_subgroup(max_cosets: int) -> CosetTable:
     """J = kernel of F_2 -> (Z/2)^2, the mod-2 homology quotient (index 4)."""
-    return from_quotient(2, [parse_cycles("(1,2)(3,4)", 4), parse_cycles("(1,3)(2,4)", 4)])
+    return from_quotient(2, [parse_cycles("(1,2)(3,4)", 4), parse_cycles("(1,3)(2,4)", 4)],
+                         max_cosets)
 
 
 @cache
-def restricted_stabilizer_matrices() -> tuple[IntMatrix, ...]:
-    sub = parity_subgroup()
+def restricted_stabilizer_matrices(max_cosets: int) -> tuple[IntMatrix, ...]:
+    sub = parity_subgroup(max_cosets)
     return tuple(hom_matrix(restrict_hom(sub, g)) for g in parity_stabilizer_generators())
 
 
@@ -259,6 +260,7 @@ def _monodromy_generator_matrices(n: int) -> list[IntMatrix]:
     return mats
 
 
+@cache
 def semidirect_twists() -> tuple[Aut, ...]:
     """The base twists of random semidirect elements: lambda^2, rho^2 and
     their inverses, in the order `random_semidirect_element` draws from."""
@@ -266,15 +268,10 @@ def semidirect_twists() -> tuple[Aut, ...]:
     return lam * lam, rho * rho, (lam * lam) ** -1, (rho * rho) ** -1
 
 
-def random_semidirect_element(rng: random.Random, n: int, max_len: int = 4,
-                              twists: Sequence[Aut] | None = None) -> SemidirectElement:
+def random_semidirect_element(rng: random.Random, n: int,
+                              max_len: int = 4) -> SemidirectElement:
     """A random element with words of up to ``max_len`` letters and its base
-    drawn from ``twists`` (default `semidirect_twists()`, built per call; pass
-    one prebuilt sequence when drawing many).  Building the twists draws
-    nothing from ``rng``."""
-    if twists is None:
-        twists = semidirect_twists()
-
+    drawn from `semidirect_twists()`."""
     def rand_word() -> Word:
         letters = [(rng.randint(1, 2), rng.choice((1, -1)))
                    for _ in range(rng.randint(0, max_len))]
@@ -282,7 +279,7 @@ def random_semidirect_element(rng: random.Random, n: int, max_len: int = 4,
 
     left = tuple(rand_word() for _ in range(n - 2))
     right = tuple(rand_word() for _ in range(n - 2))
-    return SemidirectElement(n, left, right, rng.choice(twists))
+    return SemidirectElement(n, left, right, rng.choice(semidirect_twists()))
 
 
 # --- the checks ---------------------------------------------------------------
@@ -391,7 +388,7 @@ def _chk_gamma2_b1(cfg: Config):
 
 
 def _chk_fourgen_in_stab(cfg: Config):
-    sub = parity_subgroup()
+    sub = parity_subgroup(cfg.max_cosets)
     verdicts = {}
     for k, g in enumerate(parity_stabilizer_generators()):
         for tag, a in (("", g), ("^-1", g.inverse())):
@@ -404,7 +401,7 @@ def _chk_fourgen_in_stab(cfg: Config):
 
 
 def _chk_h_coinvariants(cfg: Config):
-    mats = restricted_stabilizer_matrices()
+    mats = restricted_stabilizer_matrices(cfg.max_cosets)
     structure = coinvariants(mats, 3)
     return structure.free_rank == 1, \
         {"free_rank": 1}, \
@@ -412,7 +409,7 @@ def _chk_h_coinvariants(cfg: Config):
 
 
 def _chk_h_invariants(cfg: Config):
-    mats = restricted_stabilizer_matrices()
+    mats = restricted_stabilizer_matrices(cfg.max_cosets)
     rank = invariants_rank(mats)
     return rank == 1, {"invariants_rank": 1}, {"invariants_rank": rank}
 
@@ -587,7 +584,7 @@ def _chk_theta_pair_infinite(cfg: Config):
 
 
 def _chk_j_rank5(cfg: Config):
-    sub = mod2_homology_subgroup()
+    sub = mod2_homology_subgroup(cfg.max_cosets)
     ok = sub.index == 4 and len(sub.basis) == 5
     return ok, {"index": 4, "basis_size": 5}, \
         {"index": sub.index, "basis_size": len(sub.basis)}
@@ -595,12 +592,11 @@ def _chk_j_rank5(cfg: Config):
 
 def _chk_phi_hom_property(cfg: Config, cases: int = 200):
     rng = random.Random(cfg.seed)
-    twists = semidirect_twists()
     failures = 0
     for _ in range(cases):
         n = rng.randint(3, 5)
-        k1 = random_semidirect_element(rng, n, twists=twists)
-        k2 = random_semidirect_element(rng, n, twists=twists)
+        k1 = random_semidirect_element(rng, n)
+        k2 = random_semidirect_element(rng, n)
         lhs = compose(k1.to_hom(), k2.to_hom())
         rhs = (k1 * k2).to_hom()
         if lhs != rhs:

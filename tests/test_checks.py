@@ -9,6 +9,7 @@ from cgkernel import checks, words
 from cgkernel.checks import (CHECK_IDS, Config, UnknownCheck, run_all,
                              run_check)
 from cgkernel.fpgroups import CosetLimitExceeded
+from cgkernel.perms import DEFAULT_MAX_COSETS
 from cgkernel.words import SemidirectElement, format_word
 
 
@@ -148,7 +149,7 @@ def test_hom_property_still_verifies_every_aut_product(monkeypatch):
 
 MEMOIZED = (checks._gamma2_abelianization, checks._k4_abelianization,
             checks.parity_stabilizer_generators,
-            checks.restricted_stabilizer_matrices)
+            checks.restricted_stabilizer_matrices, checks.semidirect_twists)
 
 
 @pytest.fixture()
@@ -184,7 +185,8 @@ def test_shared_tables_are_built_once_per_run(cold_caches, monkeypatch):
     assert all(r.passed for r in run_all())
     # Gamma(2), K_4 and Gamma+, once each
     assert len(built) == 3
-    assert checks.restricted_stabilizer_matrices() is checks.restricted_stabilizer_matrices()
+    assert checks.restricted_stabilizer_matrices(DEFAULT_MAX_COSETS) \
+        is checks.restricted_stabilizer_matrices(DEFAULT_MAX_COSETS)
 
 
 def test_memoized_tables_honour_the_coset_limit(cold_caches):
@@ -193,3 +195,17 @@ def test_memoized_tables_honour_the_coset_limit(cold_caches):
     assert [r.passed for r in results] == [False] * 4
     assert all("exceeded 5 cosets" in r.actual["error"] for r in results)
     assert run_check("sl2.gamma2_ab", Config(max_cosets=6)).passed
+
+
+def test_free_group_quotient_tables_honour_the_coset_limit(cold_caches):
+    # the parity kernel H has index 2 and J has index 4
+    parity = ("stab.fourgen_in_stabH", "homology.H_coinvariants_rank1",
+              "homology.H_invariants_rank1")
+    results = run_all(Config(max_cosets=1, check_filter=(*parity, "j.rank5")))
+    assert len(results) == 4 and not any(r.passed for r in results)
+    assert all("exceeded 1 cosets" in r.actual["error"] for r in results)
+    results = {r.id: r for r in run_all(Config(max_cosets=3,
+                                               check_filter=(*parity, "j.rank5")))}
+    assert all(results[i].passed for i in parity)
+    assert "exceeded 3 cosets" in results["j.rank5"].actual["error"]
+    assert run_check("j.rank5", Config(max_cosets=4)).passed
