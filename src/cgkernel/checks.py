@@ -158,9 +158,10 @@ XI_IMAGE_TABLE: dict[str, str] = {"a": "(1,2)(3,4)", "b": "(1,3)(2,4)"}
 
 # --- shared constructions ----------------------------------------------------
 #
-# The @cache'd constructions are built once per process and shared by every
-# check that reads them, so each returns an immutable value and is keyed by
-# the only input it reads (nothing, or the coset limit).
+# The @cache'd constructions are built once per `run_all` (each run starts
+# them cold, as a fresh `verify` process does) and shared by every check
+# that reads them, so each returns an immutable value and is keyed by the
+# only input it reads (nothing, or the coset limit).
 
 
 def nielsen_generators() -> tuple[Aut, Aut]:
@@ -739,6 +740,11 @@ REGISTRY: dict[str, tuple[str, Callable]] = {
 CHECK_IDS: tuple[str, ...] = tuple(cid for cid, _, _ in _REGISTRY)
 
 
+# every @cache'd shared construction above
+_CACHED = (parity_stabilizer_generators, restricted_stabilizer_matrices,
+           semidirect_twists, _gamma2_abelianization, _k4_abelianization)
+
+
 def run_check(check_id: str, config: Config | None = None, **overrides) -> CheckResult:
     """Run one registered check.  Raises UnknownCheck for unknown ids and lets
     CosetLimitExceeded escape, annotated with the check id."""
@@ -759,7 +765,9 @@ def run_all(config: Config | None = None) -> list[CheckResult]:
     """Run every registered check matching the config filter, in registry
     order.  A check that exceeds its coset limit (CosetLimitExceeded) is
     recorded as a failed result carrying the error; any other exception
-    propagates."""
+    propagates.  The shared constructions are built afresh in every run."""
+    for construction in _CACHED:
+        construction.cache_clear()
     cfg = config or Config()
     results = []
     for cid in CHECK_IDS:

@@ -7,10 +7,12 @@ column ^ 1 is always the inverse column.  Coset 0 is the subgroup itself.
 Every finished table is in standard numbering: cosets are numbered breadth
 first from coset 0, trying the columns in the order g1, g1^-1, g2, ....  One
 breadth-first walk, `perms.orbit`, gives that numbering to both producers
-(and the elements of `perms.closure`).  A subgroup has exactly one such
-table, so `todd_coxeter` and `coset_table_from_quotient` give the same
-table for the same subgroup, and tables, Schreier generators, and rewritten
-presentations are reproducible run to run.  A free group is a presentation without relators, so the same
+(and the elements of `perms.closure`); `todd_coxeter` needs it only after a
+coincidence or a subgroup generator, as it otherwise defines its cosets in
+that order.  A subgroup has exactly one such table, so `todd_coxeter` and
+`coset_table_from_quotient` give the same table for the same subgroup, and
+tables, Schreier generators, and rewritten presentations are reproducible
+run to run.  A free group is a presentation without relators, so the same
 table is the Schreier coset graph of a finite-index subgroup of a free group.
 """
 
@@ -142,8 +144,10 @@ class CosetTable:
         (coset, generator) order; a free basis of the subgroup when the
         presentation has no relators."""
         ngens, tree = self.presentation.ngens, self.tree
+        reps = [r.letters for r in tree.reps]
+        inverses = [tuple((i, -s) for i, s in reversed(r)) for r in reps]
         return tuple(
-            tree.reps[c] * Word.gen(ngens, g + 1) * tree.reps[self.table[c][2 * g]].inverse()
+            Word(ngens, reps[c] + ((g + 1, 1),) + inverses[self.table[c][2 * g]])
             for c in range(self.ncosets) for g in range(ngens) if tree.labels[c][g])
 
     def trace(self, coset: int, w: Word) -> int:
@@ -161,7 +165,7 @@ class CosetTable:
             raise AssertionError("table has no cosets")
         if any(len(row) != ncols for row in self.table):
             raise AssertionError(f"a row does not have {ncols} entries")
-        columns = list(zip(*self.table))
+        columns = list(map(list, zip(*self.table)))  # lists compare equal to ident
         ident = list(range(self.ncosets))
         cosets = set(ident)
         for x, col in enumerate(columns):
@@ -172,10 +176,20 @@ class CosetTable:
             if [inv[d] for d in col] != ident:
                 raise AssertionError(f"column {x ^ 1} does not invert column {x}")
         for r in self.presentation.relators:
-            image = ident
-            for x in _cols(r):
+            # r = u^m for its shortest period u: the permutation of u,
+            # raised to the m-th power, maps each coset to its trace by r
+            cols = _cols(r)
+            n = len(cols)
+            if not n:
+                continue  # the empty relator closes everywhere
+            p = next(p for p in range(1, n + 1) if n % p == 0 and cols[:p] * (n // p) == cols)
+            perm = columns[cols[0]]
+            for x in cols[1:p]:
                 col = columns[x]
-                image = [col[d] for d in image]
+                perm = [col[d] for d in perm]
+            image = perm
+            for _ in range(n // p - 1):
+                image = [perm[d] for d in image]
             if image != ident:
                 c = next(c for c in ident if image[c] != c)
                 raise AssertionError(f"relator open at coset {c}")
@@ -204,7 +218,9 @@ def todd_coxeter(pres: Presentation, subgens: Sequence[Word],
     ``max_cosets`` bounds the rows held.  When a definition would pass it,
     the rows of merged cosets are compacted away first; if the live cosets
     alone fill the limit, the enumeration aborts with CosetLimitExceeded.
-    The finished table is in standard numbering and is validated.
+    The finished table is in standard numbering and is validated.  It is
+    renumbered breadth first only when a coincidence or a subgroup
+    generator's definitions may have left it out of that order.
     """
     for w in subgens:
         if w.rank != pres.ngens:
@@ -221,13 +237,24 @@ def todd_coxeter(pres: Presentation, subgens: Sequence[Word],
     canon = [x & ~1 if x // 2 in involutions else x for x in range(ncols)]
     xs = sorted(set(canon))  # the distinct columns
     parent = [0]  # union-find over rows; a merged row points at a lower one
-    deductions: list[int] = []  # filled entries c * ncols + x whose loops are not yet scanned
+    # entries c * width + x whose loops are not yet scanned: column x, or for
+    # x >= ncols subgroup generator x - ncols at coset 0, generator 0 on top
+    width = ncols + len(subgens)
+    deductions = list(range(width - 1, ncols - 1, -1))
     nlive = 1
+    standard = True  # no coincidence so far
 
-    # scans[x]: the distinct cyclic conjugates of the relators and their
-    # inverses that start with column x, as their forward columns, the
-    # inverse columns, and the column numbers
-    scans: list[list[tuple]] = [[] for _ in range(ncols)]
+    # scans[x]: the loops traced through an entry of column x, as their
+    # forward columns, the inverse columns, the column numbers and their
+    # length.  For x < ncols they are the distinct cyclic conjugates of the
+    # relators and their inverses that start with column x; for x >= ncols,
+    # subgroup generator x - ncols.
+    scans: list[list[tuple]] = [[] for _ in range(width)]
+
+    def add_loop(x: int, cols: tuple[int, ...]) -> None:
+        scans[x].append((tuple(table[y] for y in cols), tuple(table[y ^ 1] for y in cols),
+                         cols, len(cols)))
+
     seen = set()
     for r in pres.relators:
         w = tuple(canon[x] for x in _cols(r))
@@ -238,8 +265,9 @@ def todd_coxeter(pres: Presentation, subgens: Sequence[Word],
                 rot = word[k:] + word[:k]
                 if rot not in seen:
                     seen.add(rot)
-                    scans[rot[0]].append((tuple(table[x] for x in rot),
-                                          tuple(table[x ^ 1] for x in rot), rot))
+                    add_loop(rot[0], rot)
+    for k, w in enumerate(subgens):
+        add_loop(ncols + k, tuple(canon[x] for x in _cols(w)))
 
     def rep(k: int) -> int:
         while parent[k] != k:
@@ -259,6 +287,8 @@ def todd_coxeter(pres: Presentation, subgens: Sequence[Word],
     def coincidence(a: int, b: int) -> None:
         # move each merged row's entries to its representative, merging
         # further cosets where two entries disagree
+        nonlocal standard
+        standard = False
         queue: list[int] = []
         merge(a, b, queue)
         for dead in queue:
@@ -277,44 +307,43 @@ def todd_coxeter(pres: Presentation, subgens: Sequence[Word],
                 else:
                     col[mu] = nu
                     inv[nu] = mu
-                    deductions.append(mu * ncols + x)
-
-    def scan(c: int, fwd, bwd, cols) -> int:
-        # trace one loop from c; deduce its entry if exactly one is blank, or
-        # merge its ends if none is; otherwise return the first blank entry
-        n = len(cols)
-        f, i = c, 0
-        while i < n:
-            e = fwd[i][f]
-            if e < 0:
-                break
-            f, i = e, i + 1
-        b, j = c, n - 1
-        while j >= i:
-            e = bwd[j][b]
-            if e < 0:
-                break
-            b, j = e, j - 1
-        if j < i:
-            if f != b:
-                coincidence(f, b)
-        elif j == i:
-            fwd[i][f] = b
-            bwd[i][b] = f
-            deductions.append(f * ncols + cols[i])
-        else:
-            return f * ncols + cols[i]
-        return -1
+                    deductions.append(mu * width + x)
 
     def process() -> None:
+        # trace each pending entry's loops from its coset: deduce a loop's
+        # entry if exactly one is blank, merge its ends if none is; a
+        # subgroup generator with more blanks defines its first one and is
+        # traced again once everything that definition implies is scanned
+        push = deductions.append
         while deductions:
-            c, x = divmod(deductions.pop(), ncols)
+            c, x = divmod(deductions.pop(), width)
             if parent[c] != c:
                 continue  # its entries were pushed again at its representative
-            for fwd, bwd, cols in scans[x]:
-                scan(c, fwd, bwd, cols)
-                if parent[c] != c:
-                    break
+            for fwd, bwd, cols, n in scans[x]:
+                f, i = c, 0
+                while i < n:
+                    e = fwd[i][f]
+                    if e < 0:
+                        break
+                    f, i = e, i + 1
+                b, j = c, n - 1
+                while j >= i:
+                    e = bwd[j][b]
+                    if e < 0:
+                        break
+                    b, j = e, j - 1
+                if j < i:
+                    if f != b:
+                        coincidence(f, b)
+                        if parent[c] != c:
+                            break
+                elif j == i:
+                    fwd[i][f] = b
+                    bwd[i][b] = f
+                    push(f * width + cols[i])
+                elif x >= ncols:
+                    push(x)
+                    define(f, cols[i])
 
     def define(c: int, x: int) -> int:
         # new coset c.x; returns c's number, which compaction may change
@@ -331,12 +360,13 @@ def todd_coxeter(pres: Presentation, subgens: Sequence[Word],
         table[x][c] = b
         table[x ^ 1][b] = c
         nlive += 1
-        deductions.append(c * ncols + x)
+        deductions.append(c * width + x)
         return c
 
     def compact() -> list[int]:
-        # drop merged rows, keeping the live ones in order; called with no
-        # deduction pending, when live rows point only at live rows
+        # drop merged rows, keeping the live ones in order; called when the
+        # only pending entries are subgroup generators at coset 0, which
+        # stays 0, and live rows point only at live rows
         live = [k for k in range(len(parent)) if parent[k] == k]
         new = [-1] * (len(parent) + 1)  # new[-1] keeps blanks blank
         for i, k in enumerate(live):
@@ -347,18 +377,11 @@ def todd_coxeter(pres: Presentation, subgens: Sequence[Word],
         parent[:] = range(len(live))
         return new
 
-    for w in subgens:
-        cols = tuple(canon[x] for x in _cols(w))
-        fwd = tuple(table[x] for x in cols)
-        bwd = tuple(table[x ^ 1] for x in cols)
-        while (blank := scan(0, fwd, bwd, cols)) >= 0:
-            define(*divmod(blank, ncols))
-            process()
-        process()
-
+    process()
+    if len(parent) > 1:  # the subgroup generators defined cosets
+        standard = False
     c, x = 0, 0
     while True:
-        process()
         while c < len(parent):
             if parent[c] == c:
                 while x < ncols and table[x][c] >= 0:
@@ -369,9 +392,17 @@ def todd_coxeter(pres: Presentation, subgens: Sequence[Word],
         else:
             break
         c = define(c, x)
+        process()
 
-    # standard numbering: breadth first from coset 0, columns in order
-    _, final = orbit(0, lambda c: [col[c] for col in table])
+    if standard:
+        # Already standard: each coset b was defined at the first blank in
+        # row-major order, when every entry before it held a coset below b,
+        # and entries never change without a coincidence.  So the cosets
+        # first appear in row-major order in increasing order, which is the
+        # order a breadth-first walk from coset 0 numbers them in.
+        final = tuple(zip(*table))
+    else:  # standard numbering: breadth first from coset 0, columns in order
+        _, final = orbit(0, lambda c: [col[c] for col in table])
     ct = CosetTable(pres, tuple(subgens), final)
     ct.validate()
     return ct
@@ -402,8 +433,8 @@ def coset_table_from_quotient(pres: Presentation, images: Sequence[Permutation],
 
 def _schreier_tree(ct: CosetTable) -> SchreierTree:
     ngens = ct.presentation.ngens
-    reps: list[Word | None] = [None] * ct.ncosets
-    reps[0] = Word.identity(ngens)
+    reps: list[tuple | None] = [None] * ct.ncosets  # each representative's letters
+    reps[0] = ()
     on_tree = [[False] * ngens for _ in range(ct.ncosets)]
     queue = [0]
     qi = 0
@@ -415,7 +446,7 @@ def _schreier_tree(ct: CosetTable) -> SchreierTree:
             if reps[d] is None:
                 g = col // 2
                 sign = 1 if col % 2 == 0 else -1
-                reps[d] = reps[c] * Word.gen(ngens, g + 1, sign)
+                reps[d] = reps[c] + ((g + 1, sign),)
                 on_tree[c if sign == 1 else d][g] = True
                 queue.append(d)
     labels = []
@@ -427,7 +458,7 @@ def _schreier_tree(ct: CosetTable) -> SchreierTree:
                 nsub += 1
             label.append(0 if edge_on_tree else nsub)
         labels.append(tuple(label))
-    return SchreierTree(tuple(reps), tuple(labels), nsub)
+    return SchreierTree(tuple(Word(ngens, r) for r in reps), tuple(labels), nsub)
 
 
 def schreier_generators(ct: CosetTable) -> tuple[Word, ...]:

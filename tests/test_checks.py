@@ -147,15 +147,15 @@ def test_hom_property_still_verifies_every_aut_product(monkeypatch):
     assert result.passed and len(calls) >= result.actual["cases"]
 
 
-MEMOIZED = (checks._gamma2_abelianization, checks._k4_abelianization,
-            checks.parity_stabilizer_generators,
-            checks.restricted_stabilizer_matrices, checks.semidirect_twists)
+def test_run_all_clears_every_cached_construction():
+    cached = {name for name, f in vars(checks).items() if hasattr(f, "cache_clear")}
+    assert cached == {f.__name__ for f in checks._CACHED} and len(cached) == 5
 
 
 @pytest.fixture()
 def cold_caches():
     def clear():
-        for construction in MEMOIZED:
+        for construction in checks._CACHED:
             construction.cache_clear()
 
     clear()
@@ -185,6 +185,10 @@ def test_shared_tables_are_built_once_per_run(cold_caches, monkeypatch):
     assert all(r.passed for r in run_all())
     # Gamma(2), K_4 and Gamma+, once each
     assert len(built) == 3
+    # the next run in the same process builds them again, as a fresh
+    # `verify` process does
+    assert all(r.passed for r in run_all())
+    assert len(built) == 6
     assert checks.restricted_stabilizer_matrices(DEFAULT_MAX_COSETS) \
         is checks.restricted_stabilizer_matrices(DEFAULT_MAX_COSETS)
 

@@ -191,6 +191,14 @@ class TestCosetEnumeration:
         code, _, err = run_cli(capsys, "tc", str(path), "", "--max-cosets", "5039")
         assert code == 3 and "exceeded" in err
 
+    def test_empty_relator_and_trivial_subgroup(self, capsys, tmp_path):
+        # A_4 = <a, b | a^2, b^3, (ab)^3>, with the empty relator 1 as well
+        path = tmp_path / "a4.pres"
+        path.write_text("gens: a b\nrel: a^2\nrel: b^3\nrel: a b a b a b\nrel: 1\n",
+                        encoding="utf-8")
+        code, out, _ = run_cli(capsys, "tc", str(path), "1")
+        assert code == 0 and out == "index: 12\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "tc", "/does/not/exist", "t")
         assert code == 2

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from cgkernel import fpgroups
 from cgkernel.fpgroups import (CosetLimitExceeded, CosetTable, Presentation, RelatorViolated,
                                abelianization, braid_mod_center_presentation,
                                braid_presentation, coset_table_from_quotient,
@@ -15,7 +16,7 @@ from cgkernel.fpgroups import (CosetLimitExceeded, CosetTable, Presentation, Rel
                                rewrite_in_subgroup, schreier_generators,
                                sl2z_presentation, todd_coxeter)
 from cgkernel.intlin import AbelianStructure
-from cgkernel.perms import Permutation, parse_cycles, quotient_map_s4_to_s3
+from cgkernel.perms import Permutation, orbit, parse_cycles, quotient_map_s4_to_s3
 from cgkernel.words import Word, format_word, parse_word
 
 
@@ -23,13 +24,19 @@ def transpositions():
     return [Permutation.transposition(4, i, i + 1) for i in (1, 2, 3)]
 
 
+def coxeter(ngens, orders):
+    """Coxeter presentation: s_i^2, and (s_i s_j)^m for i < j with m =
+    orders[i, j], or 2 where the pair is not listed."""
+    letters = [[(i, 1), (i, 1)] for i in range(1, ngens + 1)]
+    letters += [[(i, 1), (j, 1)] * orders.get((i, j), 2)
+                for i in range(1, ngens + 1) for j in range(i + 1, ngens + 1)]
+    return Presentation(ngens, tuple(Word(ngens, w) for w in letters))
+
+
 def symmetric_coxeter(n):
     """Coxeter presentation of S_n: s_i^2, (s_i s_i+1)^3, (s_i s_j)^2 for
     |i - j| > 1."""
-    letters = [[(i, 1), (i, 1)] for i in range(1, n)]
-    letters += [[(i, 1), (j, 1)] * (3 if j == i + 1 else 2)
-                for i in range(1, n) for j in range(i + 1, n)]
-    return Presentation(n - 1, tuple(Word(n - 1, w) for w in letters))
+    return coxeter(n - 1, {(i, i + 1): 3 for i in range(1, n - 1)})
 
 
 def fibonacci(n):
@@ -215,7 +222,92 @@ class TestToddCoxeter:
                 assert ct.trace(c, r) == c
 
 
+class TestRenumbering:
+    """A table enumerated with no coincidence and no subgroup generator is
+    already in standard numbering and skips the breadth-first renumbering;
+    the other tables go through it."""
+
+    @pytest.fixture()
+    def orbit_calls(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return orbit(*args)
+
+        monkeypatch.setattr(fpgroups, "orbit", counting)
+        return calls
+
+    @pytest.mark.parametrize("pres, order", [
+        (coxeter(4, {(1, 2): 3, (2, 3): 4, (3, 4): 3}), 1152),   # F_4
+        (coxeter(4, {(1, 2): 5, (2, 3): 3, (3, 4): 3}), 14400),  # H_4
+        (symmetric_coxeter(7), 5040),
+    ], ids=["F4", "H4", "S7"])
+    def test_table_without_coincidence_is_already_standard(self, orbit_calls, pres, order):
+        ct = todd_coxeter(pres, [])
+        assert ct.index == order and orbit_calls == []
+        assert orbit(0, ct.table.__getitem__)[1] == ct.table
+
+    def test_coincidences_and_subgroup_generators_are_renumbered(self, orbit_calls):
+        ct = todd_coxeter(fibonacci(7), [])  # 33,239 rows collapse to 29
+        assert ct.index == 29 and len(orbit_calls) == 1
+        assert orbit(0, ct.table.__getitem__)[1] == ct.table
+        pres = sl2z_presentation()
+        ct = todd_coxeter(pres, [pres.word("t t"), pres.word("t s t t s t")])
+        assert ct.index == 12 and len(orbit_calls) == 2
+        assert orbit(0, ct.table.__getitem__)[1] == ct.table
+
+
+def one_generator_table(a):
+    """Rows (c.a, c.a^-1) of the permutation c -> a[c]."""
+    inv = [0] * len(a)
+    for c, d in enumerate(a):
+        inv[d] = c
+    return tuple(zip(a, inv))
+
+
+def two_generator_table(a, b):
+    return tuple(ra + rb for ra, rb in zip(one_generator_table(a), one_generator_table(b)))
+
+
 class TestValidate:
+    def test_power_relator_must_close_on_every_cycle(self):
+        # a^6 closes on cycles of length 1, 2, 3 and 6, not on the 4-cycle
+        # that starts at coset 6
+        pres = Presentation(1, (Word(1, [(1, 1)] * 6),))
+        closes = [0, 2, 1, 4, 5, 3, 7, 8, 9, 10, 11, 6]
+        CosetTable(pres, (), one_generator_table(closes)).validate()
+        opens = [0, 2, 1, 4, 5, 3, 7, 8, 9, 6]
+        with pytest.raises(AssertionError, match="relator open at coset 6$"):
+            CosetTable(pres, (), one_generator_table(opens)).validate()
+
+    def test_power_of_a_longer_period_must_close_on_every_cycle(self):
+        # (ab)^3, where ab has the cycles (0)(1 2 3)(4 5) on cosets 0..5
+        a = [1, 2, 0, 4, 5, 3]
+        ab = [0, 2, 3, 1, 5, 4]
+        b = [0] * 6
+        for c in range(6):
+            b[a[c]] = ab[c]
+        pres = Presentation(2, (Word(2, [(1, 1), (2, 1)] * 3),))
+        with pytest.raises(AssertionError, match="relator open at coset 4$"):
+            CosetTable(pres, (), two_generator_table(a, b)).validate()
+        pres = Presentation(2, (Word(2, [(1, 1), (2, 1)] * 6),))
+        CosetTable(pres, (), two_generator_table(a, b)).validate()
+
+    def test_non_periodic_relator_must_close(self):
+        # a a b with a = 1 and b = (1 2): open at cosets 1 and 2 only, while
+        # a^3 closes everywhere
+        pres = Presentation(2, (Word(2, [(1, 1), (1, 1), (2, 1)]),))
+        table = two_generator_table([0, 1, 2], [0, 2, 1])
+        with pytest.raises(AssertionError, match="relator open at coset 1$"):
+            CosetTable(pres, (), table).validate()
+        CosetTable(Presentation(2, (Word(2, [(1, 1)] * 3),)), (), table).validate()
+
+    def test_empty_relator_closes_everywhere(self):
+        pres = Presentation(1, (Word(1, []), Word(1, [(1, 1)] * 3)))
+        CosetTable(pres, (), one_generator_table([1, 2, 0])).validate()
+        assert todd_coxeter(pres, []).index == 3
+
     @pytest.mark.parametrize("pres, table", [
         (Presentation(1, ()), ((0, 1), (0, 1))),
         (Presentation(1, (Word(1, [(1, 1), (1, 1)]),)), ((1, 0), (0, 0))),
