@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .intlin import AbelianStructure, IntMatrix, cokernel
+from .intlin import AbelianStructure, sparse_cokernel
 from .perms import (DEFAULT_MAX_COSETS, CosetLimitExceeded, Permutation, orbit,
                     regular_orbit)
 from .words import Word, default_names, format_word, parse_word
@@ -96,9 +96,20 @@ def format_presentation(pres: Presentation) -> str:
 
 
 def abelianization(pres: Presentation) -> AbelianStructure:
-    """Cokernel of the relator exponent matrix."""
-    rows = tuple(r.abelianize() for r in pres.relators)
-    return cokernel(IntMatrix(rows, cols=pres.ngens))
+    """Cokernel of the relator exponent matrix.  Each relator's exponent
+    sums are added up straight into a sparse row {generator - 1: sum} for
+    `sparse_cokernel`; a relator whose sums all vanish gives no row, and no
+    dense row or matrix is built."""
+    rows = {}
+    for i, r in enumerate(pres.relators):
+        row: dict[int, int] = {}
+        for g, s in r.letters:
+            row[g - 1] = row.get(g - 1, 0) + s
+        if not all(row.values()):
+            row = {j: x for j, x in row.items() if x}
+        if row:
+            rows[i] = row
+    return sparse_cokernel(rows, pres.ngens)
 
 
 def _cols(w: Word) -> tuple[int, ...]:
@@ -143,11 +154,15 @@ class CosetTable:
         """Schreier generators r_c g r_{c.g}^-1 for the non-tree edges, in
         (coset, generator) order; a free basis of the subgroup when the
         presentation has no relators."""
+        # r_c and r_d are paths down the tree, so each is reduced, and the
+        # off-tree edge (c, g) between them cancels neither: the letter before
+        # it enters c along a tree edge, the letter after it leaves d = c.g
+        # along one, and only a letter of the same edge could cancel g
         ngens, tree = self.presentation.ngens, self.tree
         reps = [r.letters for r in tree.reps]
         inverses = [tuple((i, -s) for i, s in reversed(r)) for r in reps]
         return tuple(
-            Word(ngens, reps[c] + ((g + 1, 1),) + inverses[self.table[c][2 * g]])
+            Word._reduced(ngens, reps[c] + ((g + 1, 1),) + inverses[self.table[c][2 * g]])
             for c in range(self.ncosets) for g in range(ngens) if tree.labels[c][g])
 
     def trace(self, coset: int, w: Word) -> int:
@@ -458,7 +473,9 @@ def _schreier_tree(ct: CosetTable) -> SchreierTree:
                 nsub += 1
             label.append(0 if edge_on_tree else nsub)
         labels.append(tuple(label))
-    return SchreierTree(tuple(Word(ngens, r) for r in reps), tuple(labels), nsub)
+    # each representative walks down the tree to a coset not seen before, so
+    # no letter steps back along the edge of the letter before it
+    return SchreierTree(tuple(Word._reduced(ngens, r) for r in reps), tuple(labels), nsub)
 
 
 def schreier_generators(ct: CosetTable) -> tuple[Word, ...]:
@@ -473,7 +490,13 @@ def _check_rank(ct: CosetTable, w: Word) -> None:
 
 
 def _rewrite_from(ct: CosetTable, start: int, w: Word) -> tuple[Word, int]:
-    # w read from coset start over the Schreier generators, and its end coset
+    # w read from coset start over the Schreier generators, and its end coset.
+    # The result is reduced because w is: two adjacent Schreier letters k^s,
+    # k^-s cross the off-tree edge of k one way and then back, so the letters
+    # of w between them walk the tree from the coset where the first crossing
+    # ends to the same coset, where the second starts.  A reduced walk in a
+    # tree never returns to where it started, so that walk is empty, and the
+    # two letters of w that cross the edge would be adjacent inverses.
     _check_rank(ct, w)
     table, labels = ct.table, ct.tree.labels
     letters = []
@@ -487,7 +510,7 @@ def _rewrite_from(ct: CosetTable, start: int, w: Word) -> tuple[Word, int]:
             k = labels[c][i - 1]
         if k:
             letters.append((k, s))
-    return Word(ct.tree.nsub, letters), c
+    return Word._reduced(ct.tree.nsub, tuple(letters)), c
 
 
 def reidemeister_schreier(ct: CosetTable) -> Presentation:

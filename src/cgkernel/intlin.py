@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import compress, groupby
 from math import gcd
 from typing import Iterable, Sequence
@@ -241,35 +241,41 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 def cokernel(a: IntMatrix) -> AbelianStructure:
-    """Structure of Z^cols / (row space of A).
+    """Structure of Z^cols / (row space of A): the nonzero entries of each
+    row, as sparse rows, go to sparse_cokernel."""
+    span = tuple(range(a.cols))  # a tuple hands out its ints without allocating
+    return sparse_cokernel({i: {j: row[j] for j in compress(span, row)}
+                            for i, row in enumerate(a.data)}, a.cols)
+
+
+def sparse_cokernel(rows: dict[int, dict[int, int]], ncols: int) -> AbelianStructure:
+    """Structure of Z^ncols / (span of the rows), each row given sparse as
+    {column: nonzero integer entry} and keyed by any integers; empty rows
+    are dropped.  The rows are eliminated in place, so the caller gives them
+    up.
 
     Relation matrices from Reidemeister-Schreier are tall, sparse and full of
-    +-1 entries, so the rows are kept sparse and unit pivots are eliminated
-    first, each time the one of lowest Markowitz cost (row nonzeros - 1) *
-    (column nonzeros - 1).  A pivot A[r][c] = +-1 says generator c equals a
-    combination of the others: clearing column c from the other rows with row
-    r and then dropping row r and column c leaves the quotient unchanged
-    (Havas, Holt and Rees, "Recognizing badly presented Z-modules", 1993).
-    Only the rows left once no unit entry remains go to smith_normal_form.
+    +-1 entries, so unit pivots are eliminated first, each time the one of
+    lowest Markowitz cost (row nonzeros - 1) * (column nonzeros - 1).  A
+    pivot A[r][c] = +-1 says generator c equals a combination of the others:
+    clearing column c from the other rows with row r and then dropping row r
+    and column c leaves the quotient unchanged (Havas, Holt and Rees,
+    "Recognizing badly presented Z-modules", 1993).  Only the rows left once
+    no unit entry remains go to smith_normal_form.
     """
-    span = tuple(range(a.cols))  # a tuple hands out its ints without allocating
-    rows: dict[int, dict[int, int]] = {}  # row index -> {column: nonzero entry}
-    where: dict[int, set[int]] = {j: set() for j in span}  # column -> row indexes
-    for i, row in enumerate(a.data):
-        entries = {j: row[j] for j in compress(span, row)}
-        if entries:
-            rows[i] = entries
-            for j in entries:
-                where[j].add(i)
-    heap: list[tuple[int, int, int]] = []
-
-    def push(i: int, j: int, x: int) -> None:
-        if x == 1 or x == -1:
-            heappush(heap, ((len(rows[i]) - 1) * (len(where[j]) - 1), i, j))
-
-    for i, row in rows.items():
-        for j, x in row.items():
-            push(i, j, x)
+    where: dict[int, set[int]] = {j: set() for j in range(ncols)}  # column -> row keys
+    for i, row in list(rows.items()):
+        if not row:
+            del rows[i]
+            continue
+        if not where.keys() >= row.keys() or not all(row.values()):
+            raise ValueError(f"row {i} has a zero entry or a column outside 0..{ncols - 1}")
+        for j in row:
+            where[j].add(i)
+    # every unit entry as (Markowitz cost, row, column), cheapest on top
+    heap = [((len(row) - 1) * (len(where[j]) - 1), i, j)
+            for i, row in rows.items() for j, x in row.items() if x == 1 or x == -1]
+    heapify(heap)
     while heap:
         cost, r, c = heappop(heap)
         row = rows.get(r)
@@ -303,8 +309,11 @@ def cokernel(a: IntMatrix) -> AbelianStructure:
         # unit entry left in those columns may have dropped
         for j in row:
             if j != c:
+                rest = len(where[j]) - 1
                 for i in where[j]:
-                    push(i, j, rows[i][j])
+                    e = rows[i][j]
+                    if e == 1 or e == -1:
+                        heappush(heap, ((len(rows[i]) - 1) * rest, i, j))
     live = sorted(j for j, rs in where.items() if rs)
     nonzero: list[int] = []
     if rows:
@@ -320,8 +329,10 @@ def _stack_differences(mats: Sequence[IntMatrix], r: int) -> IntMatrix:
     for m in mats:
         if m.rows != r or m.cols != r:
             raise ValueError(f"expected {r}x{r} matrices")
-        for i in range(r):
-            rows.append(tuple(m[i, j] - (1 if i == j else 0) for j in range(r)))
+        for i, row in enumerate(m.data):
+            diff = list(row)
+            diff[i] -= 1
+            rows.append(tuple(diff))
     return IntMatrix(rows, cols=r)
 
 

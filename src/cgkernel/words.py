@@ -57,6 +57,15 @@ class Word:
         return word
 
     @classmethod
+    def _reduced(cls, rank: int, letters: tuple[Letter, ...]) -> "Word":
+        # a word from a letter tuple its caller has proved freely reduced,
+        # with every generator in 1..rank and every sign +-1: no checks
+        word = object.__new__(cls)
+        object.__setattr__(word, "rank", rank)
+        object.__setattr__(word, "letters", letters)
+        return word
+
+    @classmethod
     def identity(cls, rank: int) -> "Word":
         return cls(rank, ())
 
@@ -100,10 +109,11 @@ class Word:
         return not self.letters
 
     def cyclically_reduced(self) -> "Word":
-        ls = list(self.letters)
-        while len(ls) >= 2 and ls[0][0] == ls[-1][0] and ls[0][1] == -ls[-1][1]:
-            ls = ls[1:-1]
-        return self._same(ls)
+        ls = self.letters
+        lo, hi = 0, len(ls) - 1
+        while lo < hi and ls[lo][0] == ls[hi][0] and ls[lo][1] == -ls[hi][1]:
+            lo, hi = lo + 1, hi - 1
+        return self if lo == 0 else self._same(ls[lo:hi + 1])
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from cgkernel import fpgroups
+from cgkernel import fpgroups, intlin
 from cgkernel.fpgroups import (CosetLimitExceeded, CosetTable, Presentation, RelatorViolated,
                                abelianization, braid_mod_center_presentation,
                                braid_presentation, coset_table_from_quotient,
@@ -15,8 +15,9 @@ from cgkernel.fpgroups import (CosetLimitExceeded, CosetTable, Presentation, Rel
                                pure_braid3_presentation, reidemeister_schreier,
                                rewrite_in_subgroup, schreier_generators,
                                sl2z_presentation, todd_coxeter)
-from cgkernel.intlin import AbelianStructure
+from cgkernel.intlin import AbelianStructure, IntMatrix, cokernel
 from cgkernel.perms import Permutation, orbit, parse_cycles, quotient_map_s4_to_s3
+from cgkernel.subgroups import from_quotient
 from cgkernel.words import Word, format_word, parse_word
 
 
@@ -44,6 +45,12 @@ def fibonacci(n):
     return Presentation(n, tuple(
         Word(n, [(i + 1, 1), ((i + 1) % n + 1, 1), ((i + 2) % n + 1, -1)])
         for i in range(n)))
+
+
+def pure_braid_table(n):
+    """Coset table of P_n = ker(B_n -> S_n), s_i -> (i, i+1), acting on S_n."""
+    return coset_table_from_quotient(
+        braid_presentation(n), [Permutation.transposition(n, i, i + 1) for i in range(1, n)])
 
 
 def coset_action_table(images, sub_images):
@@ -117,6 +124,68 @@ class TestAbelianization:
     def test_stock_presentations(self):
         assert abelianization(pure_braid3_presentation()) == AbelianStructure(3)
         assert abelianization(pure_braid3_mod_center_presentation()) == AbelianStructure(2)
+
+    def test_relator_with_zero_exponent_sums_gives_no_row(self, monkeypatch):
+        seen = []
+        core = fpgroups.sparse_cokernel
+        monkeypatch.setattr(fpgroups, "sparse_cokernel",
+                            lambda rows, n: seen.append({i: dict(r) for i, r in rows.items()})
+                            or core(rows, n))
+        pres = parse_presentation("gens: a b\nrel: a b A B\nrel: a a\nrel: b a B A\n")
+        assert abelianization(pres) == AbelianStructure(1, (2,))
+        assert seen == [{1: {0: 2}}]
+
+    def test_generator_in_no_relator_stays_free(self):
+        pres = parse_presentation("gens: a b c\nrel: a a a\nrel: c c c c c c\n")
+        assert abelianization(pres) == AbelianStructure(1, (3, 6))
+
+    def test_no_relators_gives_free_abelian_group(self):
+        assert abelianization(Presentation(4, ())) == AbelianStructure(4)
+
+    def test_exponents_accumulate_across_a_relator(self):
+        # a a B a is a^3 b^-1: b = a^3, so the group is Z, or Z/6 once b^2 = 1
+        pres = parse_presentation("gens: a b\nrel: a a B a\n")
+        assert abelianization(pres) == AbelianStructure(1)
+        pres = parse_presentation("gens: a b\nrel: a a B a\nrel: b b\n")
+        assert abelianization(pres) == AbelianStructure(0, (6,))
+
+    def test_row_and_column_order_do_not_matter(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            rels = [Word(n, [(rng.randint(1, n), rng.choice((1, -1)))
+                             for _ in range(rng.randint(0, 8))])
+                    for _ in range(rng.randint(0, 5))]
+            want = abelianization(Presentation(n, tuple(rels)))
+            perm = rng.sample(range(1, n + 1), n)  # rename generator g to perm[g - 1]
+            renamed = [Word(n, [(perm[g - 1], s) for g, s in r.letters]) for r in rels]
+            rng.shuffle(renamed)
+            assert abelianization(Presentation(n, tuple(renamed))) == want
+            # the dense route, as an oracle sharing no row construction
+            assert want == cokernel(IntMatrix(tuple(r.abelianize() for r in rels), cols=n))
+
+    def test_builds_no_dense_rows(self, monkeypatch):
+        # exponent sums go straight into sparse rows: no Word.abelianize and
+        # no IntMatrix, except the remainder handed to smith_normal_form
+        built, abelianized = [], []
+
+        class CountingMatrix(IntMatrix):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append((self.rows, self.cols))
+
+        def counting_abelianize(w):
+            abelianized.append(w)
+            return original(w)
+
+        original = Word.abelianize
+        monkeypatch.setattr(intlin, "IntMatrix", CountingMatrix)
+        monkeypatch.setattr(Word, "abelianize", counting_abelianize)
+        sub = reidemeister_schreier(pure_braid_table(4))
+        assert abelianization(sub) == AbelianStructure(6)
+        assert built == [] and abelianized == []
+        assert abelianization(sl2z_presentation()) == AbelianStructure(0, (12,))
+        assert abelianized == [] and all(rows <= 2 for rows, _ in built)
 
 
 class TestToddCoxeter:
@@ -439,6 +508,30 @@ class TestReidemeisterSchreier:
         assert (len(sub.relators), sub.ngens) == (10800, 2881)
         assert abelianization(sub) == AbelianStructure(0)
 
+    @pytest.mark.slow
+    def test_regular_kernel_of_s7_is_trivial(self):
+        # a 105840 x 25201 relation matrix; the dense route cannot hold it
+        pres = symmetric_coxeter(7)
+        images = [Permutation.transposition(7, i, i + 1) for i in range(1, 7)]
+        sub = reidemeister_schreier(coset_table_from_quotient(pres, images))
+        assert (len(sub.relators), sub.ngens) == (105840, 25201)
+        assert abelianization(sub) == AbelianStructure(0)
+
+    # H_1(P_n) = Z^(n(n-1)/2), free on the twists A_ij (Artin 1925; Arnold
+    # 1969): an answer from the literature, not from this program
+    @pytest.mark.parametrize("n, index", [(4, 24), (5, 120)])
+    def test_pure_braid_group_through_both_routes(self, n, index):
+        ct = pure_braid_table(n)
+        sub = reidemeister_schreier(ct)
+        dense = cokernel(IntMatrix(tuple(r.abelianize() for r in sub.relators), cols=sub.ngens))
+        assert ct.index == index
+        assert abelianization(sub) == dense == AbelianStructure(n * (n - 1) // 2)
+
+    def test_pure_braid_group_p6(self):
+        ct = pure_braid_table(6)
+        assert ct.index == 720
+        assert abelianization(reidemeister_schreier(ct)) == AbelianStructure(15)
+
     def test_rewrite_round_trip_through_schreier_generators(self):
         pres = sl2z_presentation()
         ct = todd_coxeter(pres, [pres.word("t t"), pres.word("t s t t s t")])
@@ -475,6 +568,51 @@ class TestReidemeisterSchreier:
             rewrite_in_subgroup(ct, word)
         with pytest.raises(ValueError, match="rank"):
             ct.trace(0, word)
+
+
+def trusted_word_tables():
+    """SL(2,Z) subgroups, regular S_4/S_5 kernels and free-group tables."""
+    sl2 = sl2z_presentation()
+    yield todd_coxeter(sl2, [sl2.word("t t"), sl2.word("t s t t s t")])
+    yield todd_coxeter(sl2, [sl2.word("s s"), sl2.word("t t t"), sl2.word("s t s^-1")])
+    for n in (2, 3, 4):
+        yield coset_table_from_quotient(sl2, sl2_mod_images(n))
+    for n in (4, 5):
+        yield coset_table_from_quotient(
+            symmetric_coxeter(n), [Permutation.transposition(n, i, i + 1) for i in range(1, n)])
+    rng = random.Random(14)
+    for rank, degree in ((2, 4), (2, 5), (3, 4), (3, 5)):
+        images = []
+        for _ in range(rank):
+            points = list(range(1, degree + 1))
+            rng.shuffle(points)
+            images.append(Permutation(points))
+        yield from_quotient(rank, images)
+
+
+class TestTrustedWords:
+    def test_trusted_words_are_reduced(self):
+        # representatives, Schreier generators and rewritten words skip
+        # Word's reduction and checks; each must equal the checked word
+        def checked(w):
+            return type(w) is Word and w == Word(w.rank, w.letters)
+
+        rng = random.Random(15)
+        for ct in trusted_word_tables():
+            ngens = ct.presentation.ngens
+            assert all(checked(r) for r in ct.tree.reps)
+            assert all(checked(g) for g in ct.basis)
+            for c in range(ct.ncosets):
+                for r in ct.presentation.relators:
+                    w, end = fpgroups._rewrite_from(ct, c, r)
+                    assert checked(w) and end == c and w.rank == ct.tree.nsub
+            for _ in range(200):
+                w = Word(ngens, [(rng.randint(1, ngens), rng.choice((1, -1)))
+                                 for _ in range(rng.randint(0, 12))])
+                rewritten, _ = fpgroups._rewrite_from(ct, rng.randrange(ct.ncosets), w)
+                assert checked(rewritten)
+            for g in ct.basis:  # a basis word rewrites to its own single letter
+                assert len(rewrite_in_subgroup(ct, g)) == 1
 
 
 class TestPresentationIO:

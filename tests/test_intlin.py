@@ -6,10 +6,11 @@ from math import gcd
 
 import pytest
 
+from cgkernel import intlin
 from cgkernel.intlin import (AbelianStructure, IntMatrix, coinvariants,
                              cokernel, eval_st, format_matrix, format_st,
                              invariants_rank, parse_matrix, parse_st, rank_q,
-                             sl2_word, smith_normal_form)
+                             sl2_word, smith_normal_form, sparse_cokernel)
 from cgkernel.words import Word
 
 # homology actions of the four parity-stabilizer automorphisms restricted to
@@ -133,6 +134,63 @@ class TestCokernel:
             assert cokernel(a) == AbelianStructure(cols - rank, tuple(f for f in factors if f > 1))
 
 
+def snf_structure(a):
+    """Z^cols / (row space of A) read off the diagonal of the dense SNF alone."""
+    d, _, _ = smith_normal_form(a)
+    diag = [x for x in (d[i, i] for i in range(min(d.rows, d.cols))) if x]
+    return AbelianStructure(a.cols - len(diag), tuple(x for x in diag if x > 1))
+
+
+class TestSparseCokernel:
+    def test_agrees_with_the_matrix_wrapper_and_dense_snf(self):
+        # rows reach the core under scattered keys, in shuffled order, with
+        # their entries in shuffled column order and all-zero rows left in
+        rng = random.Random(11)
+        shapes = {"zero rows": 0, "unused columns": 0, "repeated rows": 0}
+        for case in range(1000):
+            a = rand_sparse_matrix(rng, rng.randint(1, 9), rng.randint(6, 8))
+            data = [list(row) for row in a.data]
+            if case % 3 == 0:
+                data += [[0] * a.cols for _ in range(rng.randint(1, 3))]
+                shapes["zero rows"] += 1
+            if case % 3 == 1:
+                extra = rng.randint(1, 3)
+                data = [row + [0] * extra for row in data]
+                shapes["unused columns"] += 1
+            if case % 3 == 2:
+                data += [list(rng.choice(data)) for _ in range(rng.randint(1, 4))]
+                shapes["repeated rows"] += 1
+            rng.shuffle(data)
+            m = IntMatrix(data)
+            rows = {}
+            for key, row in zip(rng.sample(range(-100, 1000), len(data)), data):
+                cols = [j for j, x in enumerate(row) if x]
+                rng.shuffle(cols)
+                rows[key] = {j: row[j] for j in cols}
+            assert sparse_cokernel(rows, m.cols) == cokernel(m) == snf_structure(m)
+        assert min(shapes.values()) >= 333
+
+    def test_no_rows(self):
+        assert sparse_cokernel({}, 4) == AbelianStructure(4)
+        assert sparse_cokernel({7: {}}, 0) == AbelianStructure(0)
+
+    @pytest.mark.parametrize("row", [{0: 1, 1: 0}, {3: 1}, {-1: 2}])
+    def test_rejects_zero_entries_and_columns_out_of_range(self, row):
+        with pytest.raises(ValueError):
+            sparse_cokernel({0: row}, 3)
+
+    def test_matrix_wrapper_hands_every_row_to_the_core(self, monkeypatch):
+        seen = []
+
+        def recording_core(rows, ncols):
+            seen.append(({i: dict(r) for i, r in rows.items()}, ncols))
+            return AbelianStructure(0)
+
+        monkeypatch.setattr(intlin, "sparse_cokernel", recording_core)
+        cokernel(IntMatrix(((0, 2, 0), (0, 0, 0), (-1, 0, 3))))
+        assert seen == [({0: {1: 2}, 1: {}, 2: {0: -1, 2: 3}}, 3)]
+
+
 class TestCoinvariantsAndInvariants:
     def test_restricted_stabilizer_coinvariants_rank_one(self):
         assert coinvariants(RESTRICTED_STABILIZER_MATS, 3).free_rank == 1
@@ -169,6 +227,15 @@ class TestCoinvariantsAndInvariants:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             coinvariants([IntMatrix.identity(2), IntMatrix.identity(3)], 2)
+
+    def test_stacked_differences_match_entrywise_m_minus_identity(self):
+        rng = random.Random(12)
+        for _ in range(100):
+            r = rng.randint(1, 5)
+            mats = [rand_matrix(rng, r, r, bound=4) for _ in range(rng.randint(1, 3))]
+            assert intlin._stack_differences(mats, r) == IntMatrix(
+                tuple(tuple(m[i, j] - (1 if i == j else 0) for j in range(r))
+                      for m in mats for i in range(r)), cols=r)
 
     def test_free_rank_complements_stacked_rank(self):
         rng = random.Random(5)

@@ -86,6 +86,13 @@ class TestWord:
 
     def test_cyclic_reduction(self):
         assert w("a b a^-1").cyclically_reduced() == w("b")
+        assert w("a b x3 b^-1 a^-1", 3).cyclically_reduced() == w("x3", 3)
+        assert w("a b a^-1 b^-1").cyclically_reduced() == w("a b a^-1 b^-1")
+
+    def test_cyclically_reduced_word_is_returned_as_is(self):
+        for text in ("a b a^-1 b^-1", "a", "1", "a b a"):
+            word = w(text)
+            assert word.cyclically_reduced() is word
 
 
 class TestHom:
