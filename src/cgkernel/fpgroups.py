@@ -186,10 +186,12 @@ class CosetTable:
         for x, col in enumerate(columns):
             if set(col) != cosets:
                 raise AssertionError(f"column {x} is not a permutation of the cosets")
-        for x, col in enumerate(columns):
-            inv = columns[x ^ 1]
+        # both columns of a pair are permutations, so inv . col = id already
+        # gives col . inv = id: each pair is checked once
+        for x in range(0, ncols, 2):
+            col, inv = columns[x], columns[x + 1]
             if [inv[d] for d in col] != ident:
-                raise AssertionError(f"column {x ^ 1} does not invert column {x}")
+                raise AssertionError(f"column {x + 1} does not invert column {x}")
         for r in self.presentation.relators:
             # r = u^m for its shortest period u: the permutation of u,
             # raised to the m-th power, maps each coset to its trace by r

@@ -262,6 +262,14 @@ def sparse_cokernel(rows: dict[int, dict[int, int]], ncols: int) -> AbelianStruc
     and column c leaves the quotient unchanged (Havas, Holt and Rees,
     "Recognizing badly presented Z-modules", 1993).  Only the rows left once
     no unit entry remains go to smith_normal_form.
+
+    A heap record is pushed for each unit entry at the start and then only
+    when an update makes an entry +-1, so every unit entry keeps a live
+    record.  On pop, a record whose row is gone or whose entry is no longer
+    +-1 is dropped, and one whose cost has grown is pushed again; one whose
+    cost has dropped pivots at once, as it is at least as cheap as recorded.
+    Costs that drop are not refreshed, which makes the order less greedy,
+    not the answer less exact.
     """
     where: dict[int, set[int]] = {j: set() for j in range(ncols)}  # column -> row keys
     for i, row in list(rows.items()):
@@ -283,7 +291,7 @@ def sparse_cokernel(rows: dict[int, dict[int, int]], ncols: int) -> AbelianStruc
         if x != 1 and x != -1:
             continue  # stale: the row is gone or the entry changed
         now = (len(row) - 1) * (len(where[c]) - 1)
-        if now != cost:  # the row or column changed size since the push
+        if now > cost:  # the row or column grew since the push
             heappush(heap, (now, r, c))
             continue
         del rows[r]
@@ -300,20 +308,13 @@ def sparse_cokernel(rows: dict[int, dict[int, int]], ncols: int) -> AbelianStruc
                     if j not in other:
                         where[j].add(i)
                     other[j] = v
+                    if v == 1 or v == -1:
+                        heappush(heap, ((len(other) - 1) * (len(where[j]) - 1), i, j))
                 else:
                     del other[j]
                     where[j].discard(i)
             if not other:
                 del rows[i]
-        # every column of the pivot row lost entries, so the cost of each
-        # unit entry left in those columns may have dropped
-        for j in row:
-            if j != c:
-                rest = len(where[j]) - 1
-                for i in where[j]:
-                    e = rows[i][j]
-                    if e == 1 or e == -1:
-                        heappush(heap, ((len(rows[i]) - 1) * rest, i, j))
     live = sorted(j for j, rs in where.items() if rs)
     nonzero: list[int] = []
     if rows:

@@ -96,7 +96,8 @@ class Word:
         """Reinterpret in a larger free group (same letters)."""
         if rank < self.rank:
             raise ValueError("cannot demote a word to smaller rank")
-        return Word(rank, self.letters)
+        # reduced with letters in 1..self.rank, so reduced and in range here
+        return Word._reduced(rank, self.letters)
 
     def abelianize(self) -> tuple[int, ...]:
         """Signed exponent count of each generator."""
@@ -229,7 +230,11 @@ class FreeHom:
         return Word(self.dst_rank, letters)
 
     def is_identity(self) -> bool:
-        return self == FreeHom.identity(self.src_rank)
+        """self == FreeHom.identity(self.src_rank), without building it: each
+        image is the plain Word of its generator alone."""
+        return self.src_rank == self.dst_rank and all(
+            type(im) is Word and im.letters == ((k, 1),)
+            for k, im in enumerate(self.images, 1))
 
 
 def compose(f: FreeHom, g: FreeHom) -> FreeHom:

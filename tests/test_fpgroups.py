@@ -389,6 +389,12 @@ class TestValidate:
         with pytest.raises(AssertionError, match="permutation|invert"):
             CosetTable(pres, (), table).validate()
 
+    def test_each_inverse_pair_is_named_by_its_even_column(self):
+        # columns 2 and 3 are permutations but both the 3-cycle 0 -> 1 -> 2
+        table = ((0, 0, 1, 1), (1, 1, 2, 2), (2, 2, 0, 0))
+        with pytest.raises(AssertionError, match=r"^column 3 does not invert column 2$"):
+            CosetTable(Presentation(2, ()), (), table).validate()
+
 
 class TestQuotientTables:
     def test_regular_table_over_s4(self):
@@ -531,6 +537,13 @@ class TestReidemeisterSchreier:
         ct = pure_braid_table(6)
         assert ct.index == 720
         assert abelianization(reidemeister_schreier(ct)) == AbelianStructure(15)
+
+    @pytest.mark.slow
+    def test_pure_braid_group_p7(self):
+        # index 5040, a 75600 x 25201 relation matrix
+        ct = pure_braid_table(7)
+        assert ct.index == 5040
+        assert abelianization(reidemeister_schreier(ct)) == AbelianStructure(21)
 
     def test_rewrite_round_trip_through_schreier_generators(self):
         pres = sl2z_presentation()

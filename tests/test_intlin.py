@@ -11,7 +11,11 @@ from cgkernel.intlin import (AbelianStructure, IntMatrix, coinvariants,
                              cokernel, eval_st, format_matrix, format_st,
                              invariants_rank, parse_matrix, parse_st, rank_q,
                              sl2_word, smith_normal_form, sparse_cokernel)
+from cgkernel.fpgroups import abelianization, coset_table_from_quotient, reidemeister_schreier
+from cgkernel.perms import Permutation
 from cgkernel.words import Word
+
+from test_fpgroups import pure_braid_table, symmetric_coxeter
 
 # homology actions of the four parity-stabilizer automorphisms restricted to
 # the index-2 kernel, in the Schreier basis (a, b a b^-1, b^2); frozen from an
@@ -134,6 +138,12 @@ class TestCokernel:
             assert cokernel(a) == AbelianStructure(cols - rank, tuple(f for f in factors if f > 1))
 
 
+def regular_table(n):
+    """Coset table of the regular kernel of S_n's Coxeter presentation."""
+    return coset_table_from_quotient(
+        symmetric_coxeter(n), [Permutation.transposition(n, i, i + 1) for i in range(1, n)])
+
+
 def snf_structure(a):
     """Z^cols / (row space of A) read off the diagonal of the dense SNF alone."""
     d, _, _ = smith_normal_form(a)
@@ -141,34 +151,74 @@ def snf_structure(a):
     return AbelianStructure(a.cols - len(diag), tuple(x for x in diag if x > 1))
 
 
+def sparse_cases():
+    """The 1000 random sparse cases as (rows, m): m an IntMatrix and rows its
+    nonzero entries under scattered keys, in shuffled order, with the entries
+    in shuffled column order and all-zero rows left in.  Each third of the
+    cases adds zero rows, unused columns or repeated rows."""
+    rng = random.Random(11)
+    for case in range(1000):
+        a = rand_sparse_matrix(rng, rng.randint(1, 9), rng.randint(6, 8))
+        data = [list(row) for row in a.data]
+        if case % 3 == 0:
+            data += [[0] * a.cols for _ in range(rng.randint(1, 3))]
+        if case % 3 == 1:
+            extra = rng.randint(1, 3)
+            data = [row + [0] * extra for row in data]
+        if case % 3 == 2:
+            data += [list(rng.choice(data)) for _ in range(rng.randint(1, 4))]
+        rng.shuffle(data)
+        m = IntMatrix(data)
+        rows = {}
+        for key, row in zip(rng.sample(range(-100, 1000), len(data)), data):
+            cols = [j for j, x in enumerate(row) if x]
+            rng.shuffle(cols)
+            rows[key] = {j: row[j] for j in cols}
+        yield rows, m
+
+
+@pytest.fixture
+def remainders(monkeypatch):
+    """Every matrix sparse_cokernel hands to smith_normal_form."""
+    seen = []
+    snf = intlin.smith_normal_form
+
+    def recording_snf(a):
+        seen.append(a)
+        return snf(a)
+
+    monkeypatch.setattr(intlin, "smith_normal_form", recording_snf)
+    return seen
+
+
 class TestSparseCokernel:
     def test_agrees_with_the_matrix_wrapper_and_dense_snf(self):
-        # rows reach the core under scattered keys, in shuffled order, with
-        # their entries in shuffled column order and all-zero rows left in
-        rng = random.Random(11)
         shapes = {"zero rows": 0, "unused columns": 0, "repeated rows": 0}
-        for case in range(1000):
-            a = rand_sparse_matrix(rng, rng.randint(1, 9), rng.randint(6, 8))
-            data = [list(row) for row in a.data]
-            if case % 3 == 0:
-                data += [[0] * a.cols for _ in range(rng.randint(1, 3))]
-                shapes["zero rows"] += 1
-            if case % 3 == 1:
-                extra = rng.randint(1, 3)
-                data = [row + [0] * extra for row in data]
-                shapes["unused columns"] += 1
-            if case % 3 == 2:
-                data += [list(rng.choice(data)) for _ in range(rng.randint(1, 4))]
-                shapes["repeated rows"] += 1
-            rng.shuffle(data)
-            m = IntMatrix(data)
-            rows = {}
-            for key, row in zip(rng.sample(range(-100, 1000), len(data)), data):
-                cols = [j for j, x in enumerate(row) if x]
-                rng.shuffle(cols)
-                rows[key] = {j: row[j] for j in cols}
+        for rows, m in sparse_cases():
+            data = m.data
+            shapes["zero rows"] += not all(any(row) for row in data)
+            shapes["unused columns"] += not all(any(col) for col in zip(*data))
+            shapes["repeated rows"] += len(set(data)) < len(data)
             assert sparse_cokernel(rows, m.cols) == cokernel(m) == snf_structure(m)
         assert min(shapes.values()) >= 333
+
+    def test_every_unit_entry_is_eliminated_before_snf(self, remainders):
+        # each unit entry keeps a live heap record until it is pivoted on or
+        # changes, so the remainder holds no +-1 entry
+        for rows, m in sparse_cases():
+            sparse_cokernel(rows, m.cols)
+        assert len(remainders) >= 500
+        assert all(x not in (1, -1) for a in remainders for row in a.data for x in row)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("table, free_rank", [
+        (pure_braid_table, lambda n: n * (n - 1) // 2),
+        (regular_table, lambda n: 0)], ids=["pure_braid", "regular_kernel"])
+    def test_subgroup_relation_matrices_leave_no_unit_entry(self, remainders, table, free_rank, n):
+        # P_4..P_6 and the regular kernels of S_4..S_6: every unit entry is
+        # pivoted on, so any remainder left for smith_normal_form has none
+        assert abelianization(reidemeister_schreier(table(n))) == AbelianStructure(free_rank(n))
+        assert all(x not in (1, -1) for a in remainders for row in a.data for x in row)
 
     def test_no_rows(self):
         assert sparse_cokernel({}, 4) == AbelianStructure(4)

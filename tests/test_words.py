@@ -7,6 +7,7 @@ import pytest
 from cgkernel.words import (Aut, FreeHom, SemidirectElement, Word, compose,
                             format_word, parse_word, transvection,
                             verify_automorphism)
+from cgkernel.braids import MAX_STRANDS, BraidWord
 from cgkernel.intlin import IntMatrix, hom_matrix, monodromy_matrix, rank_q
 
 
@@ -125,6 +126,39 @@ class TestHom:
         assert not verify_automorphism(lam().fwd, lam().fwd)  # lam^2(a) = ab^2
         ident = FreeHom.identity(2)
         assert verify_automorphism(ident, ident)
+
+    def test_is_identity_equals_comparison_with_the_identity(self):
+        # homs near the identity: some images swapped for short random words
+        # or rebuilt as BraidWords with the same letters, and some homs
+        # into another rank
+        rng = random.Random(12)
+        seen = {"identity": 0, "not identity": 0, "braid image": 0, "rank change": 0}
+        for _ in range(3000):
+            src = rng.randint(0, 4)
+            dst = src if rng.random() < 0.7 else rng.randint(0, 5)
+            images = []
+            for k in range(1, src + 1):
+                if k <= dst and rng.random() < 0.9:
+                    letters = ((k, 1),)
+                else:
+                    letters = [(rng.randint(1, dst), rng.choice((1, -1)))
+                               for _ in range(rng.randint(0, 2) if dst else 0)]
+                if rng.random() < 0.05 and 1 <= dst <= MAX_STRANDS - 1:
+                    images.append(BraidWord(dst + 1, letters))
+                    seen["braid image"] += 1
+                else:
+                    images.append(Word(dst, letters))
+            f = FreeHom(src, dst, tuple(images))
+            expected = f == FreeHom.identity(src)
+            assert f.is_identity() == expected
+            seen["identity" if expected else "not identity"] += 1
+            seen["rank change"] += src != dst
+        assert min(seen.values()) >= 300
+        # the edges, named: a BraidWord of the right letters, and a
+        # generator-to-generator map into a larger rank
+        assert not FreeHom(2, 2, (BraidWord(3, [(1, 1)]), Word.gen(2, 2))).is_identity()
+        assert not FreeHom(1, 2, (Word.gen(2, 1),)).is_identity()
+        assert FreeHom(0, 0, ()).is_identity()
 
     def test_aut_certification_rejects_bad_inverse(self):
         with pytest.raises(ValueError):
