@@ -2,14 +2,16 @@
 deduction processing), coset tables induced by finite quotients, Reidemeister-
 Schreier subgroup presentations, and abelianization.
 
-Coset tables use one column per generator and inverse, interleaved so that
-column ^ 1 is always the inverse column.  Coset 0 is the subgroup itself.
-Every finished table is in standard numbering: cosets are numbered breadth
-first from coset 0, trying the columns in the order g1, g1^-1, g2, ....  One
-breadth-first walk, `perms.orbit`, gives that numbering to both producers
-(and the elements of `perms.closure`); `todd_coxeter` needs it only after a
-coincidence or a subgroup generator, as it otherwise defines its cosets in
-that order.  A subgroup has exactly one such table, so `todd_coxeter` and
+Coset tables are stored column-major, one tuple per generator and inverse,
+interleaved so that column ^ 1 is always the inverse column: columns[x][c] is
+coset c times column x.  Both producers fill the columns, `validate` checks
+them in place, and `CosetTable.table` derives rows for callers.  Coset 0 is
+the subgroup itself.  Every finished table is in standard numbering: cosets
+are numbered breadth first from coset 0, trying the columns in the order g1,
+g1^-1, g2, ....  One breadth-first walk, `perms.orbit`, gives that numbering
+to both producers; `todd_coxeter` needs it only after a coincidence or a
+subgroup generator, as it otherwise defines its cosets in that order.  A
+subgroup has exactly one such table, so `todd_coxeter` and
 `coset_table_from_quotient` give the same table for the same subgroup, and
 tables, Schreier generators, and rewritten presentations are reproducible
 run to run.  A free group is a presentation without relators, so the same
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 from typing import Sequence
 
 from .intlin import AbelianStructure, sparse_cokernel
@@ -130,20 +133,23 @@ class SchreierTree:
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Complete coset table over a finitely presented group.  Its Schreier
-    tree and basis are built once, on first use."""
+    """Complete coset table over a finitely presented group, column-major:
+    ``columns[x][c]`` is coset c times column x.  Its Schreier tree and
+    basis are built once, on first use."""
 
     presentation: Presentation
     subgroup_gens: tuple[Word, ...]
-    table: tuple[tuple[int, ...], ...]
-
-    @property
-    def ncosets(self) -> int:
-        return len(self.table)
+    columns: tuple[tuple[int, ...], ...]
 
     @property
     def index(self) -> int:
-        return len(self.table)
+        return len(self.columns[0])
+
+    @property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """Row view for callers: ``table[c][x] == columns[x][c]``, built
+        afresh on every read."""
+        return tuple(zip(*self.columns))
 
     @cached_property
     def tree(self) -> SchreierTree:
@@ -158,34 +164,39 @@ class CosetTable:
         # off-tree edge (c, g) between them cancels neither: the letter before
         # it enters c along a tree edge, the letter after it leaves d = c.g
         # along one, and only a letter of the same edge could cancel g
-        ngens, tree = self.presentation.ngens, self.tree
+        ngens, tree, columns = self.presentation.ngens, self.tree, self.columns
         reps = [r.letters for r in tree.reps]
         inverses = [tuple((i, -s) for i, s in reversed(r)) for r in reps]
         return tuple(
-            Word._reduced(ngens, reps[c] + ((g + 1, 1),) + inverses[self.table[c][2 * g]])
-            for c in range(self.ncosets) for g in range(ngens) if tree.labels[c][g])
+            Word._reduced(ngens, reps[c] + ((g + 1, 1),) + inverses[columns[2 * g][c]])
+            for c in range(self.index) for g in range(ngens) if tree.labels[c][g])
 
     def trace(self, coset: int, w: Word) -> int:
         _check_rank(self, w)
-        for c in _cols(w):
-            coset = self.table[coset][c]
+        for x in _cols(w):
+            coset = self.columns[x][coset]
         return coset
 
     def validate(self) -> None:
-        """Every column permutes the cosets and column x ^ 1 inverts column
-        x; every relator closes at every coset; subgroup generators fix
-        coset 0."""
-        ncols = 2 * self.presentation.ngens
-        if not self.table:
+        """Checks the columns in place: 2 * ngens of one nonzero length, each
+        permuting the cosets, column x ^ 1 inverting column x; every relator
+        closes at every coset; subgroup generators fix coset 0."""
+        columns, ncols = self.columns, 2 * self.presentation.ngens
+        if len(columns) != ncols or any(len(col) != len(columns[0]) for col in columns):
+            raise AssertionError(f"table is not {ncols} columns of one length")
+        n = len(columns[0])
+        if not n:
             raise AssertionError("table has no cosets")
-        if any(len(row) != ncols for row in self.table):
-            raise AssertionError(f"a row does not have {ncols} entries")
-        columns = list(map(list, zip(*self.table)))  # lists compare equal to ident
-        ident = list(range(self.ncosets))
-        cosets = set(ident)
         for x, col in enumerate(columns):
-            if set(col) != cosets:
+            seen = bytearray(n)  # seen[d]: some entry is coset d
+            try:
+                for d in col:
+                    seen[d] = 1
+            except (IndexError, TypeError):  # an entry past the end or not an int
+                seen = b"\0"
+            if 0 in seen or min(col) < 0:  # -1 would have marked the last coset
                 raise AssertionError(f"column {x} is not a permutation of the cosets")
+        ident = list(range(n))
         # both columns of a pair are permutations, so inv . col = id already
         # gives col . inv = id: each pair is checked once
         for x in range(0, ncols, 2):
@@ -196,16 +207,16 @@ class CosetTable:
             # r = u^m for its shortest period u: the permutation of u,
             # raised to the m-th power, maps each coset to its trace by r
             cols = _cols(r)
-            n = len(cols)
-            if not n:
+            k = len(cols)
+            if not k:
                 continue  # the empty relator closes everywhere
-            p = next(p for p in range(1, n + 1) if n % p == 0 and cols[:p] * (n // p) == cols)
-            perm = columns[cols[0]]
+            p = next(p for p in range(1, k + 1) if k % p == 0 and cols[:p] * (k // p) == cols)
+            perm = list(columns[cols[0]])  # a list, to compare with ident
             for x in cols[1:p]:
                 col = columns[x]
                 perm = [col[d] for d in perm]
             image = perm
-            for _ in range(n // p - 1):
+            for _ in range(k // p - 1):
                 image = [perm[d] for d in image]
             if image != ident:
                 c = next(c for c in ident if image[c] != c)
@@ -416,11 +427,13 @@ def todd_coxeter(pres: Presentation, subgens: Sequence[Word],
         # row-major order, when every entry before it held a coset below b,
         # and entries never change without a coincidence.  So the cosets
         # first appear in row-major order in increasing order, which is the
-        # order a breadth-first walk from coset 0 numbers them in.
-        final = tuple(zip(*table))
+        # order a breadth-first walk from coset 0 numbers them in.  The two
+        # columns of an involution stay one tuple.
+        frozen = {x: tuple(table[x]) for x in xs}
+        columns = tuple(frozen[x] for x in canon)
     else:  # standard numbering: breadth first from coset 0, columns in order
-        _, final = orbit(0, lambda c: [col[c] for col in table])
-    ct = CosetTable(pres, tuple(subgens), final)
+        _, columns = orbit(0, lambda c: [col[c] for col in table])
+    ct = CosetTable(pres, tuple(subgens), columns)
     ct.validate()
     return ct
 
@@ -438,8 +451,8 @@ def coset_table_from_quotient(pres: Presentation, images: Sequence[Permutation],
     for g in images:
         if g.n != deg:
             raise ValueError("image degree mismatch")
-    _, rows = regular_orbit([h for g in images for h in (g, g.inverse())], max_cosets)
-    ct = CosetTable(pres, (), rows)
+    _, columns = regular_orbit([h for g in images for h in (g, g.inverse())], max_cosets)
+    ct = CosetTable(pres, (), columns)
     # the action is regular, so a relator closes at coset 0 iff its image is 1
     for r in pres.relators:
         if ct.trace(0, r) != 0:
@@ -450,39 +463,26 @@ def coset_table_from_quotient(pres: Presentation, images: Sequence[Permutation],
 
 def _schreier_tree(ct: CosetTable) -> SchreierTree:
     ngens = ct.presentation.ngens
-    reps: list[tuple | None] = [None] * ct.ncosets  # each representative's letters
+    reps: list[tuple | None] = [None] * ct.index  # each representative's letters
     reps[0] = ()
-    on_tree = [[False] * ngens for _ in range(ct.ncosets)]
+    on_tree = [[False] * ngens for _ in range(ct.index)]
+    # every positive column before every negative one, with its letter
+    edges = [(ct.columns[2 * g + k], g, (g + 1, 1 - 2 * k)) for k in (0, 1) for g in range(ngens)]
     queue = [0]
-    qi = 0
-    while qi < len(queue):
-        c = queue[qi]
-        qi += 1
-        for col in list(range(0, 2 * ngens, 2)) + list(range(1, 2 * ngens, 2)):
-            d = ct.table[c][col]
+    for c in queue:  # the queue grows as the walk goes
+        for col, g, letter in edges:
+            d = col[c]
             if reps[d] is None:
-                g = col // 2
-                sign = 1 if col % 2 == 0 else -1
-                reps[d] = reps[c] + ((g + 1, sign),)
-                on_tree[c if sign == 1 else d][g] = True
+                reps[d] = reps[c] + (letter,)
+                on_tree[c if letter[1] == 1 else d][g] = True
                 queue.append(d)
-    labels = []
-    nsub = 0
-    for row in on_tree:
-        label = []
-        for edge_on_tree in row:
-            if not edge_on_tree:
-                nsub += 1
-            label.append(0 if edge_on_tree else nsub)
-        labels.append(tuple(label))
+    fresh = count(1)  # the off-tree edges' labels, in (coset, generator) order
+    labels = tuple(tuple(0 if edge_on_tree else next(fresh) for edge_on_tree in row)
+                   for row in on_tree)
+    nsub = next(fresh) - 1
     # each representative walks down the tree to a coset not seen before, so
     # no letter steps back along the edge of the letter before it
-    return SchreierTree(tuple(Word._reduced(ngens, r) for r in reps), tuple(labels), nsub)
-
-
-def schreier_generators(ct: CosetTable) -> tuple[Word, ...]:
-    """The Schreier generators of the subgroup, ``ct.basis``."""
-    return ct.basis
+    return SchreierTree(tuple(Word._reduced(ngens, r) for r in reps), labels, nsub)
 
 
 def _check_rank(ct: CosetTable, w: Word) -> None:
@@ -500,15 +500,15 @@ def _rewrite_from(ct: CosetTable, start: int, w: Word) -> tuple[Word, int]:
     # tree never returns to where it started, so that walk is empty, and the
     # two letters of w that cross the edge would be adjacent inverses.
     _check_rank(ct, w)
-    table, labels = ct.table, ct.tree.labels
+    columns, labels = ct.columns, ct.tree.labels
     letters = []
     c = start
     for i, s in w.letters:
         if s == 1:
             k = labels[c][i - 1]
-            c = table[c][2 * i - 2]
+            c = columns[2 * i - 2][c]
         else:
-            c = table[c][2 * i - 1]
+            c = columns[2 * i - 1][c]
             k = labels[c][i - 1]
         if k:
             letters.append((k, s))
@@ -520,7 +520,7 @@ def reidemeister_schreier(ct: CosetTable) -> Presentation:
     per non-tree edge, one relator per (coset, ambient relator) pair.  Tree
     generators are eliminated; no further simplification is attempted."""
     relators = []
-    for c in range(ct.ncosets):
+    for c in range(ct.index):
         for r in ct.presentation.relators:
             rewritten, _ = _rewrite_from(ct, c, r)
             if not rewritten.is_identity():

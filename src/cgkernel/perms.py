@@ -121,18 +121,17 @@ def orbit(start: Hashable, neighbours: Callable[[Hashable], Sequence[Hashable]],
           limit: int | None = None) -> tuple[list, tuple[tuple[int, ...], ...]]:
     """Breadth-first orbit of ``start``.  ``neighbours(p)`` gives p's image
     under each column, in column order.  Points are numbered in the order
-    they are found, so ``start`` is 0; returns the points and, for each, its
-    row of neighbour numbers.  This is the standard numbering of a coset
-    table when the points are cosets and the columns g1, g1^-1, g2, ....
+    they are found, so ``start`` is 0; returns the points and, column by
+    column, their images' numbers: a column-major coset table in standard
+    numbering when the points are cosets and the columns g1, g1^-1, g2, ....
     With a ``limit``, the walk raises CosetLimitExceeded as soon as it finds
     more than ``limit`` points."""
     if limit is not None and limit < 1:  # no room for the start
         raise CosetLimitExceeded(f"orbit exceeded {limit} cosets")
     number = {start: 0}
     points = [start]
-    rows = []
+    flat = []  # each point's neighbour numbers, point after point
     for p in points:
-        row = []
         for q in neighbours(p):
             k = number.get(q)
             if k is None:
@@ -140,16 +139,17 @@ def orbit(start: Hashable, neighbours: Callable[[Hashable], Sequence[Hashable]],
                 if limit is not None and k >= limit:
                     raise CosetLimitExceeded(f"orbit exceeded {limit} cosets")
                 points.append(q)
-            row.append(k)
-        rows.append(tuple(row))
-    return points, tuple(rows)
+            flat.append(k)
+    width = len(flat) // len(points)
+    return points, tuple(tuple(flat[x::width]) for x in range(width))
 
 
 def regular_orbit(gens: Sequence[Permutation], limit: int | None = None
                   ) -> tuple[list, tuple[tuple[int, ...], ...]]:
     """`orbit` of the identity under right multiplication by ``gens``: the
-    mapping tuples of the group they generate, and the products' numbers.
-    Each product is composed once, and no Permutation is built."""
+    mapping tuples of the group they generate, and one column of products'
+    numbers per generator.  Each product is composed once, and no
+    Permutation is built."""
     cols = [(0,) + g.mapping for g in gens]  # 1-based lookup: p * g is g[p[i]]
     return orbit(tuple(range(1, gens[0].n + 1)),
                  lambda p: [tuple(map(g.__getitem__, p)) for g in cols], limit)

@@ -13,8 +13,7 @@ from cgkernel.fpgroups import (CosetLimitExceeded, CosetTable, Presentation, Rel
                                format_presentation, parse_presentation,
                                pure_braid3_mod_center_presentation,
                                pure_braid3_presentation, reidemeister_schreier,
-                               rewrite_in_subgroup, schreier_generators,
-                               sl2z_presentation, todd_coxeter)
+                               rewrite_in_subgroup, sl2z_presentation, todd_coxeter)
 from cgkernel.intlin import AbelianStructure, IntMatrix, cokernel
 from cgkernel.perms import Permutation, orbit, parse_cycles, quotient_map_s4_to_s3
 from cgkernel.subgroups import from_quotient
@@ -286,9 +285,14 @@ class TestToddCoxeter:
         pres = sl2z_presentation()
         ct = todd_coxeter(pres, [pres.word("t t"), pres.word("t s t t s t")])
         ct.validate()
-        for c in range(ct.ncosets):
+        for c in range(ct.index):
             for r in pres.relators:
                 assert ct.trace(c, r) == c
+
+
+def renumbered(ct):
+    """The columns of ct renumbered breadth first from coset 0."""
+    return orbit(0, lambda c: [col[c] for col in ct.columns])[1]
 
 
 class TestRenumbering:
@@ -315,28 +319,28 @@ class TestRenumbering:
     def test_table_without_coincidence_is_already_standard(self, orbit_calls, pres, order):
         ct = todd_coxeter(pres, [])
         assert ct.index == order and orbit_calls == []
-        assert orbit(0, ct.table.__getitem__)[1] == ct.table
+        assert renumbered(ct) == ct.columns
 
     def test_coincidences_and_subgroup_generators_are_renumbered(self, orbit_calls):
         ct = todd_coxeter(fibonacci(7), [])  # 33,239 rows collapse to 29
         assert ct.index == 29 and len(orbit_calls) == 1
-        assert orbit(0, ct.table.__getitem__)[1] == ct.table
+        assert renumbered(ct) == ct.columns
         pres = sl2z_presentation()
         ct = todd_coxeter(pres, [pres.word("t t"), pres.word("t s t t s t")])
         assert ct.index == 12 and len(orbit_calls) == 2
-        assert orbit(0, ct.table.__getitem__)[1] == ct.table
+        assert renumbered(ct) == ct.columns
 
 
 def one_generator_table(a):
-    """Rows (c.a, c.a^-1) of the permutation c -> a[c]."""
+    """Columns (c.a, c.a^-1) of the permutation c -> a[c]."""
     inv = [0] * len(a)
     for c, d in enumerate(a):
         inv[d] = c
-    return tuple(zip(a, inv))
+    return tuple(a), tuple(inv)
 
 
 def two_generator_table(a, b):
-    return tuple(ra + rb for ra, rb in zip(one_generator_table(a), one_generator_table(b)))
+    return one_generator_table(a) + one_generator_table(b)
 
 
 class TestValidate:
@@ -377,21 +381,35 @@ class TestValidate:
         CosetTable(pres, (), one_generator_table([1, 2, 0])).validate()
         assert todd_coxeter(pres, []).index == 3
 
+    # each table is a tuple of columns: column 0 is a, column 1 is a^-1
     @pytest.mark.parametrize("pres, table", [
-        (Presentation(1, ()), ((0, 1), (0, 1))),
+        (Presentation(1, ()), ((0, 0), (1, 1))),              # a sends both to 0
         (Presentation(1, (Word(1, [(1, 1), (1, 1)]),)), ((1, 0), (0, 0))),
-        (Presentation(1, ()), ((1, 1), (2, 2), (0, 0))),
-        (Presentation(1, ()), ((0, 1), (1, 2))),
-        (Presentation(1, ()), ((0, -1), (1, 0))),
+        (Presentation(1, ()), ((1, 2, 0), (1, 2, 0))),        # a^-1 = a, a 3-cycle
+        (Presentation(1, ()), ((0, 1), (1, 2))),              # coset 2 out of range
+        (Presentation(1, ()), ((0, 1), (-1, 0))),
         (Presentation(1, ()), ((1, None), (None, 0))),
+        # -1 indexes coset 1 from the end, so marking a seen coset per entry
+        # passes, and so does the inverse check; the negative entry must not
+        (Presentation(1, ()), ((-1, 0), (1, 0))),
     ])
     def test_columns_must_be_mutually_inverse_permutations(self, pres, table):
         with pytest.raises(AssertionError, match="permutation|invert"):
             CosetTable(pres, (), table).validate()
 
+    @pytest.mark.parametrize("columns", [
+        ((0,),), ((0,), (0,), (0,)),     # one and three columns for one generator
+        ((1, 0), (1,)), ((0,), (0, 1)),  # one column shorter than the other
+        ((), ()),                        # no cosets
+    ])
+    def test_shape_is_two_columns_per_generator_of_one_nonzero_length(self, columns):
+        with pytest.raises(AssertionError,
+                           match="^table (is not 2 columns of one length|has no cosets)$"):
+            CosetTable(Presentation(1, ()), (), columns).validate()
+
     def test_each_inverse_pair_is_named_by_its_even_column(self):
         # columns 2 and 3 are permutations but both the 3-cycle 0 -> 1 -> 2
-        table = ((0, 0, 1, 1), (1, 1, 2, 2), (2, 2, 0, 0))
+        table = ((0, 1, 2), (0, 1, 2), (1, 2, 0), (1, 2, 0))
         with pytest.raises(AssertionError, match=r"^column 3 does not invert column 2$"):
             CosetTable(Presentation(2, ()), (), table).validate()
 
@@ -466,8 +484,8 @@ class TestReidemeisterSchreier:
     def test_generator_count_law(self):
         pres = sl2z_presentation()
         ct = todd_coxeter(pres, [pres.word("t t"), pres.word("t s t t s t")])
-        gens = schreier_generators(ct)
-        assert len(gens) == ct.ncosets * pres.ngens - (ct.ncosets - 1)
+        gens = ct.basis
+        assert len(gens) == ct.index * pres.ngens - (ct.index - 1)
 
     def test_index_one_recovers_the_presentation(self):
         pres = sl2z_presentation()
@@ -548,7 +566,7 @@ class TestReidemeisterSchreier:
     def test_rewrite_round_trip_through_schreier_generators(self):
         pres = sl2z_presentation()
         ct = todd_coxeter(pres, [pres.word("t t"), pres.word("t s t t s t")])
-        gens = schreier_generators(ct)
+        gens = ct.basis
         rng = random.Random(1)
         for _ in range(100):
             word = Word.identity(pres.ngens)
@@ -615,14 +633,14 @@ class TestTrustedWords:
             ngens = ct.presentation.ngens
             assert all(checked(r) for r in ct.tree.reps)
             assert all(checked(g) for g in ct.basis)
-            for c in range(ct.ncosets):
+            for c in range(ct.index):
                 for r in ct.presentation.relators:
                     w, end = fpgroups._rewrite_from(ct, c, r)
                     assert checked(w) and end == c and w.rank == ct.tree.nsub
             for _ in range(200):
                 w = Word(ngens, [(rng.randint(1, ngens), rng.choice((1, -1)))
                                  for _ in range(rng.randint(0, 12))])
-                rewritten, _ = fpgroups._rewrite_from(ct, rng.randrange(ct.ncosets), w)
+                rewritten, _ = fpgroups._rewrite_from(ct, rng.randrange(ct.index), w)
                 assert checked(rewritten)
             for g in ct.basis:  # a basis word rewrites to its own single letter
                 assert len(rewrite_in_subgroup(ct, g)) == 1

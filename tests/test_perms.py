@@ -105,9 +105,9 @@ def test_orbit_limit_stops_an_infinite_walk():
 
 def test_regular_orbit_limit_is_the_group_order():
     gens = [p("(1,2)"), p("(1,2,3,4)")]
-    points, rows = regular_orbit(gens, limit=24)
-    assert len(points) == len(rows) == 24
-    assert (points, rows) == regular_orbit(gens)
+    points, columns = regular_orbit(gens, limit=24)
+    assert len(points) == 24 and [len(col) for col in columns] == [24, 24]
+    assert (points, columns) == regular_orbit(gens)
     with pytest.raises(CosetLimitExceeded):
         regular_orbit(gens, limit=23)
 
