@@ -21,7 +21,7 @@ from .braids import (BraidWord, GarsideNormalForm, NonPureBraid, braid_action,
                      braid_equal, braid_perm, braid_to_word, cardano_ferrari,
                      delete_strand, delta_word, ell_word, format_braid,
                      generator_action, handle_reduce, handle_trivial,
-                     normal_form, parse_braid, pure_gen, verify_table_row)
+                     normal_form, parse_braid, pure_gen)
 from .fpgroups import (CosetLimitExceeded, CosetTable, NotMember, Presentation,
                        RelatorViolated, abelianization,
                        braid_mod_center_presentation, braid_presentation,

@@ -14,7 +14,7 @@ from itertools import permutations
 from typing import Iterable, Sequence
 
 from .perms import Permutation
-from .words import FreeHom, Letter, Word, _reduce, compose, parse_word
+from .words import FreeHom, Letter, Word, _reduce, compose
 
 MAX_STRANDS = 6
 
@@ -397,42 +397,26 @@ SIGMA_ACTION_TABLE: dict[tuple[int, int], tuple[str, str]] = {
 }
 
 
-def generator_action(i: int, sign: int, table=None) -> FreeHom:
+def generator_action(i: int, sign: int) -> FreeHom:
     """Tabulated conjugation action of s_i^sign on the normal F_2 of B_4."""
-    table = SIGMA_ACTION_TABLE if table is None else table
-    if (i, sign) not in table:
+    if (i, sign) not in SIGMA_ACTION_TABLE:
         raise ValueError(f"no action row for (s{i})^{sign}")
-    a_img, b_img = table[(i, sign)]
-    return FreeHom(2, 2, (parse_word(a_img, 2), parse_word(b_img, 2)))
+    return FreeHom.from_strings(2, 2, SIGMA_ACTION_TABLE[(i, sign)])
 
 
-def braid_action(w: BraidWord, table=None) -> FreeHom:
+def braid_action(w: BraidWord) -> FreeHom:
     """Diagrammatic composition of the per-letter actions over the word."""
     if w.n != 4:
         raise ValueError("the F_2 conjugation action lives on B_4")
     f = FreeHom.identity(2)
     for i, s in w.letters:
-        f = compose(f, generator_action(i, s, table))
+        f = compose(f, generator_action(i, s))
     return f
 
 
 def expand_f2(w: Word) -> BraidWord:
     """Substitute the braid words for a and b into a rank-2 free-group word."""
     return BraidWord(4, FreeHom(2, 3, f2_word())(w).letters)
-
-
-def verify_table_row(i: int, sign: int, row: tuple[str, str] | None = None) -> bool:
-    """Check one action-table row against actual conjugation in B_4:
-    s_i^sign g s_i^-sign must equal the expanded image for g in {a, b}."""
-    f = generator_action(i, sign) if row is None else FreeHom(
-        2, 2, (parse_word(row[0], 2), parse_word(row[1], 2)))
-    s = BraidWord.gen(4, i, sign)
-    for k, g in enumerate(f2_word()):
-        lhs = s * g * s.inverse()
-        rhs = expand_f2(f.images[k])
-        if not braid_equal(lhs, rhs):
-            return False
-    return True
 
 
 def braid_to_word(w: BraidWord) -> Word:

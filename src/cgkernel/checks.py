@@ -4,6 +4,10 @@ Each check is a pure function returning (passed, expected, actual) with
 JSON-serializable evidence, bound to a stable public id.  Table-driven checks
 accept their expected-value table as an argument so the test suite can corrupt
 a row and confirm the comparator actually bites.
+
+Most checks give their evidence in one of three shapes, each built by one
+helper: named verdicts that must all hold (`_verdicts`), named matrices
+against tabulated rows (`_matrices`), and a subgroup index (`_index`).
 """
 
 from __future__ import annotations
@@ -22,8 +26,9 @@ from .braids import (BraidWord, braid_action, braid_equal, braid_perm,
 from .intlin import (AbelianStructure, IntMatrix, coinvariants, eval_st,
                      hom_matrix, invariants_rank, monodromy_matrix, parse_st,
                      rank_q, sl2_word)
-from .fpgroups import (CosetLimitExceeded, CosetTable, abelianization,
-                       braid_mod_center_presentation, coset_table_from_quotient,
+from .fpgroups import (CosetLimitExceeded, CosetTable, Presentation,
+                       abelianization, braid_mod_center_presentation,
+                       coset_table_from_quotient,
                        pure_braid3_mod_center_presentation,
                        pure_braid3_presentation, reidemeister_schreier,
                        sl2z_presentation, todd_coxeter)
@@ -31,7 +36,7 @@ from .perms import (DEFAULT_MAX_COSETS, Permutation, closure, is_normal,
                     parse_cycles, quotient_map_s4_to_s3)
 from .subgroups import from_quotient, restrict_hom
 from .words import (Aut, FreeHom, SemidirectElement, Word, compose,
-                    format_word, parse_word, transvection)
+                    format_word, transvection)
 
 
 class UnknownCheck(KeyError):
@@ -77,6 +82,31 @@ def _mat(m: IntMatrix) -> list[list[int]]:
 
 def _ab(a: AbelianStructure) -> dict:
     return {"free_rank": a.free_rank, "torsion": list(a.torsion)}
+
+
+# --- the three evidence shapes -------------------------------------------------
+
+
+def _verdicts(verdicts: dict[str, bool]):
+    """Named verdicts that must all hold."""
+    return all(verdicts.values()), {k: True for k in verdicts}, verdicts
+
+
+def _matrices(triples):
+    """Named matrices against tabulated rows: (label, rows, computed) triples."""
+    expected, actual = {}, {}
+    ok = True
+    for label, rows, got in triples:
+        expected[label] = [list(r) for r in rows]
+        actual[label] = _mat(got)
+        ok = ok and got == IntMatrix(rows)
+    return ok, expected, actual
+
+
+def _index(pres: Presentation, subgens, want: int, cfg: Config):
+    """The index of the subgroup generated by ``subgens``, by Todd-Coxeter."""
+    ct = todd_coxeter(pres, subgens, cfg.max_cosets)
+    return ct.index == want, {"index": want}, {"index": ct.index}
 
 
 # --- expected-value tables ---------------------------------------------------
@@ -161,7 +191,7 @@ XI_IMAGE_TABLE: dict[str, str] = {"a": "(1,2)(3,4)", "b": "(1,3)(2,4)"}
 # The @cache'd constructions are built once per `run_all` (each run starts
 # them cold, as a fresh `verify` process does) and shared by every check
 # that reads them, so each returns an immutable value and is keyed by the
-# only input it reads (nothing, or the coset limit).
+# inputs it reads (nothing, the coset limit, or a quotient and the limit).
 
 
 def nielsen_generators() -> tuple[Aut, Aut]:
@@ -200,30 +230,23 @@ def restricted_stabilizer_matrices(max_cosets: int) -> tuple[IntMatrix, ...]:
     return tuple(hom_matrix(restrict_hom(sub, g)) for g in parity_stabilizer_generators())
 
 
-def strand_transpositions() -> list[Permutation]:
-    return [Permutation.transposition(4, i, i + 1) for i in range(1, 4)]
+def strand_transpositions() -> tuple[Permutation, ...]:
+    return tuple(Permutation.transposition(4, i, i + 1) for i in range(1, 4))
 
 
-def sl2z2_images() -> list[Permutation]:
-    """Images of S and T in SL(2, Z/2) as regular permutations of its
-    6 elements (deterministic numbering)."""
-    mats = sorted(
-        ((a, b, c, d)
-         for a in (0, 1) for b in (0, 1) for c in (0, 1) for d in (0, 1)
-         if (a * d - b * c) % 2 == 1)
-    )
-    index = {m: i + 1 for i, m in enumerate(mats)}
+def sl2z2_images() -> tuple[Permutation, ...]:
+    """Images of S and T in SL(2, Z/2), acting on the right on the nonzero
+    vectors (1,0), (0,1), (1,1) of (Z/2)^2.  The quotient table numbers the
+    group's elements breadth first, whatever faithful action it is given."""
+    return parse_cycles("(1,2)", 3), parse_cycles("(1,3)", 3)
 
-    def mul(x, y):
-        return ((x[0] * y[0] + x[1] * y[2]) % 2, (x[0] * y[1] + x[1] * y[3]) % 2,
-                (x[2] * y[0] + x[3] * y[2]) % 2, (x[2] * y[1] + x[3] * y[3]) % 2)
 
-    def regular(g):
-        return Permutation([index[mul(m, g)] for m in mats])
-
-    s_mod2 = (0, 1, 1, 0)
-    t_mod2 = (1, 1, 0, 1)
-    return [regular(s_mod2), regular(t_mod2)]
+@cache
+def _kernel_abelianization(pres: Presentation, images: tuple[Permutation, ...],
+                           max_cosets: int) -> tuple[int, AbelianStructure]:
+    """Index and abelianization of the kernel of the quotient pres -> <images>."""
+    ct = coset_table_from_quotient(pres, images, max_cosets)
+    return ct.index, abelianization(reidemeister_schreier(ct))
 
 
 # braid words mapping onto the standard SL(2,Z) generators under the
@@ -292,50 +315,37 @@ def _chk_sigma_actions(cfg: Config, table=None):
     table = braids.SIGMA_ACTION_TABLE if table is None else table
     rows = {}
     for (i, sign), row in sorted(table.items()):
-        f = FreeHom(2, 2, (parse_word(row[0], 2), parse_word(row[1], 2)))
+        f = FreeHom.from_strings(2, 2, row)
         s = BraidWord.gen(4, i, sign)
         for k, name in enumerate("ab"):
             lhs = s * f2_word()[k] * s.inverse()
             rhs = braids.expand_f2(f.images[k])
             rows[f"s{i}^{sign}:{name}"] = braid_equal(lhs, rhs)
-    return all(rows.values()), {k: True for k in rows}, rows
+    return _verdicts(rows)
 
 
 def _chk_apq_actions(cfg: Config, table=None):
     table = APQ_ACTION_TABLE if table is None else table
     expected, actual = {}, {}
     ok = True
-    for (p, q), (a_img, b_img) in sorted(table.items()):
-        want = FreeHom(2, 2, (parse_word(a_img, 2), parse_word(b_img, 2)))
+    for (p, q), row in sorted(table.items()):
         got = braid_action(pure_gen(p, q, 4))
-        expected[f"A{p}{q}"] = [a_img, b_img]
+        expected[f"A{p}{q}"] = list(row)
         actual[f"A{p}{q}"] = [format_word(got.images[0]), format_word(got.images[1])]
-        ok = ok and got == want
+        ok = ok and got == FreeHom.from_strings(2, 2, row)
     return ok, expected, actual
 
 
 def _chk_apq_matrices(cfg: Config, table=None):
     table = APQ_MATRIX_TABLE if table is None else table
-    expected, actual = {}, {}
-    ok = True
-    for (p, q), rows in sorted(table.items()):
-        got = hom_matrix(braid_action(pure_gen(p, q, 4)))
-        expected[f"A{p}{q}"] = [list(r) for r in rows]
-        actual[f"A{p}{q}"] = _mat(got)
-        ok = ok and got == IntMatrix(rows)
-    return ok, expected, actual
+    return _matrices((f"A{p}{q}", rows, hom_matrix(braid_action(pure_gen(p, q, 4))))
+                     for (p, q), rows in sorted(table.items()))
 
 
 def _chk_st_words(cfg: Config, table=None):
     table = ST_WORD_TABLE if table is None else table
-    expected, actual = {}, {}
-    ok = True
-    for label, (st_text, rows) in sorted(table.items()):
-        got = eval_st(parse_st(st_text))
-        expected[label] = [list(r) for r in rows]
-        actual[label] = _mat(got)
-        ok = ok and got == IntMatrix(rows)
-    return ok, expected, actual
+    return _matrices((label, rows, eval_st(parse_st(st_text)))
+                     for label, (st_text, rows) in sorted(table.items()))
 
 
 def _chk_center_trivial(cfg: Config):
@@ -356,23 +366,22 @@ def _chk_xi_images(cfg: Config, table=None):
 
 
 def _chk_s_index3(cfg: Config):
-    pres = sl2z_presentation()
     gens = [sl2_word(hom_matrix(g.fwd)) for g in parity_stabilizer_generators()]
-    ct = todd_coxeter(pres, gens, cfg.max_cosets)
-    return ct.index == 3, {"index": 3}, {"index": ct.index}
+    return _index(sl2z_presentation(), gens, 3, cfg)
 
 
 def _chk_sanov_index12(cfg: Config):
     pres = sl2z_presentation()
-    gens = [pres.word("t t"), pres.word("t s t t s t")]
-    ct = todd_coxeter(pres, gens, cfg.max_cosets)
-    return ct.index == 12, {"index": 12}, {"index": ct.index}
+    return _index(pres, [pres.word("t t"), pres.word("t s t t s t")], 12, cfg)
 
 
-@cache
 def _gamma2_abelianization(max_cosets: int) -> tuple[int, AbelianStructure]:
-    ct = coset_table_from_quotient(sl2z_presentation(), sl2z2_images(), max_cosets)
-    return ct.index, abelianization(reidemeister_schreier(ct))
+    return _kernel_abelianization(sl2z_presentation(), sl2z2_images(), max_cosets)
+
+
+def _k4_abelianization(max_cosets: int) -> tuple[int, AbelianStructure]:
+    return _kernel_abelianization(braid_mod_center_presentation(4),
+                                  strand_transpositions(), max_cosets)
 
 
 def _chk_gamma2_ab(cfg: Config):
@@ -398,7 +407,7 @@ def _chk_fourgen_in_stab(cfg: Config):
                 verdicts[f"g{k + 1}{tag}"] = True
             except subgroups.NotStabilized:
                 verdicts[f"g{k + 1}{tag}"] = False
-    return all(verdicts.values()), {k: True for k in verdicts}, verdicts
+    return _verdicts(verdicts)
 
 
 def _chk_h_coinvariants(cfg: Config):
@@ -413,13 +422,6 @@ def _chk_h_invariants(cfg: Config):
     mats = restricted_stabilizer_matrices(cfg.max_cosets)
     rank = invariants_rank(mats)
     return rank == 1, {"invariants_rank": 1}, {"invariants_rank": rank}
-
-
-@cache
-def _k4_abelianization(max_cosets: int) -> tuple[int, AbelianStructure]:
-    ct = coset_table_from_quotient(braid_mod_center_presentation(4),
-                                   strand_transpositions(), max_cosets)
-    return ct.index, abelianization(reidemeister_schreier(ct))
 
 
 def _chk_k4_b1(cfg: Config):
@@ -440,14 +442,13 @@ def _chk_k4_excessive(cfg: Config):
 
 def _chk_gammaplus_ab(cfg: Config):
     q = quotient_map_s4_to_s3()
-    images = [q(t) for t in strand_transpositions()]
-    ct = coset_table_from_quotient(braid_mod_center_presentation(4), images,
-                                   cfg.max_cosets)
-    ab = abelianization(reidemeister_schreier(ct))
+    index, ab = _kernel_abelianization(braid_mod_center_presentation(4),
+                                       tuple(q(t) for t in strand_transpositions()),
+                                       cfg.max_cosets)
     want = AbelianStructure(2, (2, 2, 2))
-    return (ct.index == 6 and ab == want), \
+    return (index == 6 and ab == want), \
         {"cosets": 6, "abelianization": _ab(want)}, \
-        {"cosets": ct.index, "abelianization": _ab(ab)}
+        {"cosets": index, "abelianization": _ab(ab)}
 
 
 def _chk_gammaplus_index3(cfg: Config):
@@ -461,18 +462,16 @@ def _chk_gammaplus_index3(cfg: Config):
         subgens.append(braid_to_word(lift))
     a, b = f2_word()
     subgens += [braid_to_word(a), braid_to_word(b)]
-    ct = todd_coxeter(pres, subgens, cfg.max_cosets)
-    ok = all(lifts.values()) and ct.index == 3
-    return ok, {"index": 3, **{k: True for k in lifts}}, {"index": ct.index, **lifts}
+    ok, expected, actual = _index(pres, subgens, 3, cfg)
+    lifts_ok, lifts_expected, _ = _verdicts(lifts)
+    return lifts_ok and ok, {**expected, **lifts_expected}, {**actual, **lifts}
 
 
 def _chk_cf_generator_table(cfg: Config, table=None):
     table = CF_IMAGE_TABLE if table is None else table
-    verdicts = {}
-    for (p, q), image_text in sorted(table.items()):
-        got = cardano_ferrari(pure_gen(p, q, 4))
-        verdicts[f"A{p}{q}"] = braid_equal(got, parse_braid(image_text, 3))
-    return all(verdicts.values()), {k: True for k in verdicts}, verdicts
+    return _verdicts({f"A{p}{q}": braid_equal(cardano_ferrari(pure_gen(p, q, 4)),
+                                              parse_braid(image_text, 3))
+                      for (p, q), image_text in sorted(table.items())})
 
 
 def _chk_cf_center_square(cfg: Config):
@@ -484,46 +483,32 @@ def _chk_cf_center_square(cfg: Config):
 
 def _chk_theta_kernel_gens(cfg: Config, table=None):
     table = THETA_IMAGE_TABLE if table is None else table
-    verdicts = {}
-    for (i, p, q), image_text in sorted(table.items()):
-        got = delete_strand(pure_gen(p, q, 4), i)
-        verdicts[f"Theta{i}(A{p}{q})"] = braid_equal(got, parse_braid(image_text, 3))
-    return all(verdicts.values()), {k: True for k in verdicts}, verdicts
+    return _verdicts({f"Theta{i}(A{p}{q})": braid_equal(delete_strand(pure_gen(p, q, 4), i),
+                                                        parse_braid(image_text, 3))
+                      for (i, p, q), image_text in sorted(table.items())})
 
 
 def _chk_ell_identities(cfg: Config, table=None):
     table = ELL_IDENTITY_TABLE if table is None else table
-    verdicts = {}
-    for i, (sigma_text, a_text) in sorted(table.items()):
-        verdicts[f"l{i}"] = braid_equal(parse_braid(sigma_text, 4),
-                                        parse_braid(a_text, 4))
-    return all(verdicts.values()), {k: True for k in verdicts}, verdicts
+    return _verdicts({f"l{i}": braid_equal(parse_braid(sigma_text, 4), parse_braid(a_text, 4))
+                      for i, (sigma_text, a_text) in sorted(table.items())})
 
 
 def _chk_ell_perm_trivial(cfg: Config):
-    verdicts = {f"l{i}": braid_perm(ell_word(i)).is_identity() for i in (2, 3, 4)}
-    return all(verdicts.values()), {k: True for k in verdicts}, verdicts
+    return _verdicts({f"l{i}": braid_perm(ell_word(i)).is_identity() for i in (2, 3, 4)})
 
 
 def _chk_ell_psi(cfg: Config, table=None):
     table = ELL_PSI_TABLE if table is None else table
-    expected, actual = {}, {}
-    ok = True
-    for i, rows in sorted(table.items()):
-        got = hom_matrix(braid_action(ell_word(i)))
-        expected[f"l{i}"] = [list(r) for r in rows]
-        actual[f"l{i}"] = _mat(got)
-        ok = ok and got == IntMatrix(rows)
-    return ok, expected, actual
+    return _matrices((f"l{i}", rows, hom_matrix(braid_action(ell_word(i))))
+                     for i, rows in sorted(table.items()))
 
 
 def _chk_ell_theta4(cfg: Config, table=None):
     table = ELL_THETA4_TABLE if table is None else table
-    verdicts = {}
-    for i, image_text in sorted(table.items()):
-        got = delete_strand(ell_word(i), 4)
-        verdicts[f"Theta4(l{i})"] = braid_equal(got, parse_braid(image_text, 3))
-    return all(verdicts.values()), {k: True for k in verdicts}, verdicts
+    return _verdicts({f"Theta4(l{i})": braid_equal(delete_strand(ell_word(i), 4),
+                                                   parse_braid(image_text, 3))
+                      for i, image_text in sorted(table.items())})
 
 
 def _chk_theta_pairs_surjective(cfg: Config):
@@ -545,10 +530,9 @@ def _chk_theta_pairs_surjective(cfg: Config):
                     pp, qq = _relabel(p, q, i)
                     ok = ok and braid_equal(img, pure_gen(pp, qq, 3))
                     subgens.append(k3.word(f"A{pp}{qq}"))
-            ct = todd_coxeter(k3, subgens, cfg.max_cosets)
-            indexes[f"Theta{i}(ker Theta{j})"] = ct.index
-            ok = ok and ct.index == 1
-    return ok, {k: 1 for k in indexes}, indexes
+            indexes[f"Theta{i}(ker Theta{j})"] = todd_coxeter(k3, subgens,
+                                                               cfg.max_cosets).index
+    return ok and all(v == 1 for v in indexes.values()), {k: 1 for k in indexes}, indexes
 
 
 def _chk_ell_surjective(cfg: Config):
@@ -556,9 +540,7 @@ def _chk_ell_surjective(cfg: Config):
     for i, image_text in ELL_THETA4_TABLE.items():
         if not braid_equal(delete_strand(ell_word(i), 4), parse_braid(image_text, 3)):
             return False, {"index": 1}, {"error": f"theta4 image of l{i} mismatch"}
-    subgens = [k3.word("A12 A23"), k3.word("A13 A23")]
-    ct = todd_coxeter(k3, subgens, cfg.max_cosets)
-    return ct.index == 1, {"index": 1}, {"index": ct.index}
+    return _index(k3, [k3.word("A12 A23"), k3.word("A13 A23")], 1, cfg)
 
 
 def _chk_cf_frobenius(cfg: Config):
@@ -568,8 +550,7 @@ def _chk_cf_frobenius(cfg: Config):
         if not braid_equal(got, parse_braid(CF_IMAGE_TABLE[(p, q)], 3)):
             return False, {"index": 1}, {"error": f"image of A{p}{q} mismatch"}
     subgens = [p3.word(CF_IMAGE_TABLE[(p, q)]) for (p, q) in ((1, 4), (2, 4), (3, 4))]
-    ct = todd_coxeter(p3, subgens, cfg.max_cosets)
-    return ct.index == 1, {"index": 1}, {"index": ct.index}
+    return _index(p3, subgens, 1, cfg)
 
 
 def _chk_theta_pair_infinite(cfg: Config):
@@ -742,7 +723,7 @@ CHECK_IDS: tuple[str, ...] = tuple(cid for cid, _, _ in _REGISTRY)
 
 # every @cache'd shared construction above
 _CACHED = (parity_stabilizer_generators, restricted_stabilizer_matrices,
-           semidirect_twists, _gamma2_abelianization, _k4_abelianization)
+           semidirect_twists, _kernel_abelianization)
 
 
 def run_check(check_id: str, config: Config | None = None, **overrides) -> CheckResult:

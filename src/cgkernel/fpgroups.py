@@ -187,21 +187,19 @@ class CosetTable:
         n = len(columns[0])
         if not n:
             raise AssertionError("table has no cosets")
-        for x, col in enumerate(columns):
-            seen = bytearray(n)  # seen[d]: some entry is coset d
-            try:
-                for d in col:
-                    seen[d] = 1
-            except (IndexError, TypeError):  # an entry past the end or not an int
-                seen = b"\0"
-            if 0 in seen or min(col) < 0:  # -1 would have marked the last coset
-                raise AssertionError(f"column {x} is not a permutation of the cosets")
         ident = list(range(n))
-        # both columns of a pair are permutations, so inv . col = id already
-        # gives col . inv = id: each pair is checked once
+        # inv . col = id puts every coset among inv's n entries (even where a
+        # negative entry of col indexes inv from the end), so inv permutes the
+        # cosets; col . inv = id then shows that col does too.  An involution's
+        # two columns are one tuple, and col . col = id is the whole proof.
         for x in range(0, ncols, 2):
             col, inv = columns[x], columns[x + 1]
-            if [inv[d] for d in col] != ident:
+            try:
+                ok = ([inv[d] for d in col] == ident
+                      and (inv is col or [col[d] for d in inv] == ident))
+            except (IndexError, TypeError):  # an entry past the end or not an int
+                ok = False
+            if not ok:
                 raise AssertionError(f"column {x + 1} does not invert column {x}")
         for r in self.presentation.relators:
             # r = u^m for its shortest period u: the permutation of u,

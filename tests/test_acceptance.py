@@ -268,7 +268,12 @@ def test_criterion_8_negative_controls():
     for cid, bad_table in cases:
         clean = run_check(cid)
         broken = run_check(cid, table=bad_table)
-        if not clean.passed or broken.passed:
+        # exactly the corrupted row's label changes its evidence
+        labels = {*clean.expected, *clean.actual, *broken.expected, *broken.actual}
+        changed = [k for k in labels
+                   if (clean.expected.get(k), clean.actual.get(k))
+                   != (broken.expected.get(k), broken.actual.get(k))]
+        if not clean.passed or broken.passed or len(changed) != 1:
             ok = False
             print(f"negative control failed for {cid}")
     report(8, "every table-driven check fails under a corrupted row", ok)

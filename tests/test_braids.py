@@ -11,8 +11,7 @@ from cgkernel.braids import (BraidWord, NonPureBraid, braid_action, braid_equal,
                              braid_perm, braid_to_word, cardano_ferrari, delete_strand,
                              delta_word, ell_word, expand_f2, f2_word,
                              format_braid, generator_action, handle_reduce,
-                             handle_trivial, normal_form, parse_braid, pure_gen,
-                             verify_table_row)
+                             handle_trivial, normal_form, parse_braid, pure_gen)
 from cgkernel.perms import parse_cycles
 from cgkernel.words import FreeHom, Word, compose, parse_word
 from cgkernel.intlin import hom_matrix, IntMatrix
@@ -323,14 +322,6 @@ class TestConjugationAction:
         for _ in range(100):
             u = rand_braid(rng, 4, 8)
             assert compose(braid_action(u), braid_action(u.inverse())).is_identity()
-
-    def test_verify_table_rows(self):
-        for i in (1, 2, 3):
-            for sign in (1, -1):
-                assert verify_table_row(i, sign)
-
-    def test_corrupted_row_fails(self):
-        assert not verify_table_row(1, 1, ("a", "b a"))
 
     def test_expand_subgroup_words(self):
         a, bb = f2_word()

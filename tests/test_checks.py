@@ -8,7 +8,8 @@ import pytest
 from cgkernel import checks, words
 from cgkernel.checks import (CHECK_IDS, Config, UnknownCheck, run_all,
                              run_check)
-from cgkernel.fpgroups import CosetLimitExceeded
+from cgkernel.fpgroups import (CosetLimitExceeded, coset_table_from_quotient,
+                               sl2z_presentation)
 from cgkernel.perms import DEFAULT_MAX_COSETS
 from cgkernel.words import SemidirectElement, format_word
 
@@ -147,9 +148,21 @@ def test_hom_property_still_verifies_every_aut_product(monkeypatch):
     assert result.passed and len(calls) >= result.actual["cases"]
 
 
+def test_gamma2_table_from_the_degree_3_action():
+    # SL(2, Z/2) acting on the three nonzero vectors of (Z/2)^2; the quotient
+    # table numbers the six group elements breadth first, so the columns and
+    # the Schreier basis are those its regular action of degree 6 gave
+    ct = coset_table_from_quotient(sl2z_presentation(), checks.sl2z2_images())
+    assert ct.columns == ((1, 0, 4, 5, 2, 3), (1, 0, 4, 5, 2, 3),
+                          (2, 3, 0, 1, 5, 4), (2, 3, 0, 1, 5, 4))
+    assert [format_word(w, ("s", "t")) for w in ct.basis] == [
+        "s^2", "t^2", "s t^2 s^-1", "t s^2 t^-1", "t s t s^-1 t^-1 s^-1",
+        "s t s^2 t^-1 s^-1", "s t s t s^-1 t^-1"]
+
+
 def test_run_all_clears_every_cached_construction():
     cached = {name for name, f in vars(checks).items() if hasattr(f, "cache_clear")}
-    assert cached == {f.__name__ for f in checks._CACHED} and len(cached) == 5
+    assert cached == {f.__name__ for f in checks._CACHED} and len(cached) == 4
 
 
 @pytest.fixture()

@@ -339,6 +339,12 @@ def one_generator_table(a):
     return tuple(a), tuple(inv)
 
 
+def shared_columns(col):
+    """One tuple object as both columns, as an involution's table holds them
+    (two equal literals may or may not be folded into one object)."""
+    return col, col
+
+
 def two_generator_table(a, b):
     return one_generator_table(a) + one_generator_table(b)
 
@@ -389,9 +395,11 @@ class TestValidate:
         (Presentation(1, ()), ((0, 1), (1, 2))),              # coset 2 out of range
         (Presentation(1, ()), ((0, 1), (-1, 0))),
         (Presentation(1, ()), ((1, None), (None, 0))),
-        # -1 indexes coset 1 from the end, so marking a seen coset per entry
-        # passes, and so does the inverse check; the negative entry must not
+        # -1 indexes coset 1 from the end, so inv . col = id holds; the
+        # negative entry must not pass col . inv = id
         (Presentation(1, ()), ((-1, 0), (1, 0))),
+        (Presentation(1, ()), shared_columns((1, 2, 0))),
+        (Presentation(1, ()), shared_columns((-1, 0))),
     ])
     def test_columns_must_be_mutually_inverse_permutations(self, pres, table):
         with pytest.raises(AssertionError, match="permutation|invert"):
