@@ -15,8 +15,8 @@ from .perms import (Permutation, closure, format_cycles, is_normal,
                     parse_cycles, quotient_map_s4_to_s3)
 from .intlin import (AbelianStructure, IntMatrix, coinvariants, cokernel,
                      eval_st, format_matrix, format_st, hom_matrix,
-                     invariants_rank, monodromy_matrix, parse_matrix,
-                     parse_st, rank_q, sl2_word, smith_normal_form)
+                     invariants_rank, parse_matrix, parse_st, rank_q,
+                     sl2_word, smith_normal_form)
 from .braids import (BraidWord, GarsideNormalForm, NonPureBraid, braid_action,
                      braid_equal, braid_perm, braid_to_word, cardano_ferrari,
                      delete_strand, delta_word, ell_word, format_braid,

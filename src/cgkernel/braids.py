@@ -10,6 +10,7 @@ rank-2 normal free subgroup <s1 s3^-1, s2 s1 s3^-1 s2^-1>.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations
 from typing import Iterable, Sequence
 
@@ -17,6 +18,7 @@ from .perms import Permutation
 from .words import FreeHom, Letter, Word, _reduce, compose
 
 MAX_STRANDS = 6
+HANDLE_STEPS = 1_000_000  # handle reductions before handle_reduce gives up
 
 
 class NonPureBraid(ValueError):
@@ -88,8 +90,9 @@ A_WORD_STR = "s1 s3^-1"
 B_WORD_STR = "s2 s1 s3^-1 s2^-1"
 
 
-def f2_word(n: int = 4) -> tuple[BraidWord, BraidWord]:
-    return parse_braid(A_WORD_STR, n), parse_braid(B_WORD_STR, n)
+@cache
+def f2_word() -> tuple[BraidWord, BraidWord]:
+    return parse_braid(A_WORD_STR, 4), parse_braid(B_WORD_STR, 4)
 
 
 def parse_braid(text: str, n: int) -> BraidWord:
@@ -321,11 +324,11 @@ def _leftmost_handle(letters: list[Letter]) -> tuple[int, int] | None:
     return None
 
 
-def handle_reduce(w: BraidWord, max_steps: int = 1_000_000) -> BraidWord:
+def handle_reduce(w: BraidWord) -> BraidWord:
     """Reduce the leftmost handle until none remains.  The result is empty iff
     the braid is trivial (a nonempty handle-free word is sigma-definite)."""
     letters = list(w.letters)
-    for _ in range(max_steps):
+    for _ in range(HANDLE_STEPS):
         h = _leftmost_handle(letters)
         if h is None:
             return BraidWord(w.n, letters)
@@ -397,6 +400,7 @@ SIGMA_ACTION_TABLE: dict[tuple[int, int], tuple[str, str]] = {
 }
 
 
+@cache
 def generator_action(i: int, sign: int) -> FreeHom:
     """Tabulated conjugation action of s_i^sign on the normal F_2 of B_4."""
     if (i, sign) not in SIGMA_ACTION_TABLE:

@@ -24,8 +24,7 @@ from .braids import (BraidWord, braid_action, braid_equal, braid_perm,
                      braid_to_word, cardano_ferrari, delete_strand, delta_word,
                      ell_word, f2_word, parse_braid, pure_gen)
 from .intlin import (AbelianStructure, IntMatrix, coinvariants, eval_st,
-                     hom_matrix, invariants_rank, monodromy_matrix, parse_st,
-                     rank_q, sl2_word)
+                     hom_matrix, invariants_rank, parse_st, rank_q, sl2_word)
 from .fpgroups import (CosetLimitExceeded, CosetTable, Presentation,
                        abelianization, braid_mod_center_presentation,
                        coset_table_from_quotient,
@@ -277,10 +276,10 @@ def _monodromy_generator_matrices(n: int) -> list[IntMatrix]:
                 right = [e] * (n - 2)
                 (left if side == "left" else right)[k] = letter
                 elem = SemidirectElement(n, tuple(left), tuple(right), Aut.identity(2))
-                mats.append(monodromy_matrix(elem))
+                mats.append(hom_matrix(elem.to_hom()))
     for mu in (lam * lam, rho * rho):
-        mats.append(monodromy_matrix(
-            SemidirectElement(n, (e,) * (n - 2), (e,) * (n - 2), mu)))
+        mats.append(hom_matrix(
+            SemidirectElement(n, (e,) * (n - 2), (e,) * (n - 2), mu).to_hom()))
     return mats
 
 
@@ -292,13 +291,12 @@ def semidirect_twists() -> tuple[Aut, ...]:
     return lam * lam, rho * rho, (lam * lam) ** -1, (rho * rho) ** -1
 
 
-def random_semidirect_element(rng: random.Random, n: int,
-                              max_len: int = 4) -> SemidirectElement:
-    """A random element with words of up to ``max_len`` letters and its base
-    drawn from `semidirect_twists()`."""
+def random_semidirect_element(rng: random.Random, n: int) -> SemidirectElement:
+    """A random element with words of up to 4 letters and its base drawn
+    from `semidirect_twists()`."""
     def rand_word() -> Word:
         letters = [(rng.randint(1, 2), rng.choice((1, -1)))
-                   for _ in range(rng.randint(0, max_len))]
+                   for _ in range(rng.randint(0, 4))]
         return Word(2, letters)
 
     left = tuple(rand_word() for _ in range(n - 2))
@@ -572,9 +570,9 @@ def _chk_j_rank5(cfg: Config):
         {"index": sub.index, "basis_size": len(sub.basis)}
 
 
-def _chk_phi_hom_property(cfg: Config, cases: int = 200):
+def _chk_phi_hom_property(cfg: Config):
     rng = random.Random(cfg.seed)
-    failures = 0
+    cases, failures = 200, 0
     for _ in range(cases):
         n = rng.randint(3, 5)
         k1 = random_semidirect_element(rng, n)
@@ -721,9 +719,9 @@ REGISTRY: dict[str, tuple[str, Callable]] = {
 CHECK_IDS: tuple[str, ...] = tuple(cid for cid, _, _ in _REGISTRY)
 
 
-# every @cache'd shared construction above
+# every @cache'd shared construction above, and the imported f2_word
 _CACHED = (parity_stabilizer_generators, restricted_stabilizer_matrices,
-           semidirect_twists, _kernel_abelianization)
+           semidirect_twists, _kernel_abelianization, f2_word)
 
 
 def run_check(check_id: str, config: Config | None = None, **overrides) -> CheckResult:

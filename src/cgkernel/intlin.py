@@ -1,5 +1,6 @@
-"""Exact integer linear algebra: Smith normal form, abelian-group structure of
-cokernels, coinvariant/invariant ranks, and SL(2,Z) word decomposition.
+"""Exact integer linear algebra: Smith normal form (one pivot loop, with
+divisibility enforced at each pivot), abelian-group structure of cokernels,
+coinvariant/invariant ranks, and SL(2,Z) word decomposition.
 
 Everything here runs on Python integers, so there is no overflow to guard
 against; exactness is the whole point.
@@ -14,7 +15,7 @@ from itertools import compress, groupby
 from math import gcd
 from typing import Iterable, Sequence
 
-from .words import FreeHom, Word, parse_word, format_word, SemidirectElement
+from .words import FreeHom, Word, parse_word, format_word
 
 
 class IntMatrix:
@@ -144,9 +145,10 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (D, U, V) with D = U*A*V, U and V unimodular, D diagonal with
     d_1 | d_2 | ... and every d_i >= 0.
 
-    Pivoting always picks the smallest nonzero absolute value in the remaining
-    block, which keeps intermediate entries from exploding; correctness over
-    arbitrary-precision integers is the priority, not speed.
+    One pivot loop (Cohen 1993, section 2.4): the pivot is the smallest
+    nonzero absolute value in the trailing block, and once its row and column
+    are clear, a row with an entry it does not divide joins the pivot row, so
+    the next pivot is a smaller remainder and divisibility holds at each one.
     """
     m = [list(row) for row in a.data]
     nr, nc = a.rows, a.cols
@@ -163,20 +165,6 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         for row in v:
             row[dst] += c * row[src]
 
-    def row_swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def row_negate(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
-
     k = 0
     while k < min(nr, nc):
         # smallest-|nonzero| pivot in the trailing block
@@ -187,10 +175,16 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                     pivot = (i, j)
         if pivot is None:
             break
-        row_swap(k, pivot[0])
-        col_swap(k, pivot[1])
+        i, j = pivot
+        m[k], m[i] = m[i], m[k]
+        u[k], u[i] = u[i], u[k]
+        for row in m:
+            row[k], row[j] = row[j], row[k]
+        for row in v:
+            row[k], row[j] = row[j], row[k]
         if m[k][k] < 0:
-            row_negate(k)
+            m[k] = [-x for x in m[k]]
+            u[k] = [-x for x in u[k]]
         # clear row and column; restart if a remainder creates a smaller entry
         dirty = False
         for i in range(k + 1, nr):
@@ -207,35 +201,13 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                     dirty = True
         if dirty:
             continue
+        # a row with an entry the pivot does not divide joins the pivot row
+        p = m[k][k]
+        bad = next((i for i in range(k + 1, nr) if any(x % p for x in m[i][k + 1:])), None)
+        if bad is not None:
+            row_add(k, bad, 1)
+            continue
         k += 1
-
-    # enforce the divisibility chain with the standard 2x2 gcd trick
-    changed = True
-    while changed:
-        changed = False
-        for i in range(min(nr, nc) - 1):
-            a_, b_ = m[i][i], m[i + 1][i + 1]
-            if b_ != 0 and a_ != 0 and b_ % a_ != 0:
-                col_add(i, i + 1, 1)  # puts b into column i at row i+1
-                # re-clear the 2x2 block via euclid
-                while m[i + 1][i] != 0:
-                    q = m[i][i] // m[i + 1][i] if m[i + 1][i] != 0 else 0
-                    row_add(i, i + 1, -q)
-                    row_swap(i, i + 1)
-                # column i now has entry only at row i; fix column i+1
-                q = m[i][i + 1] // m[i][i]
-                col_add(i + 1, i, -q)
-                if m[i][i + 1] != 0 or m[i + 1][i] != 0:
-                    raise AssertionError("divisibility fix-up failed to reclear block")
-                if m[i][i] < 0:
-                    row_negate(i)
-                if m[i + 1][i + 1] < 0:
-                    row_negate(i + 1)
-                changed = True
-            elif a_ == 0 and b_ != 0:
-                row_swap(i, i + 1)
-                col_swap(i, i + 1)
-                changed = True
     d = IntMatrix(m, cols=nc)
     return d, IntMatrix(u, cols=nr), IntMatrix(v, cols=nc)
 
@@ -381,24 +353,6 @@ def hom_matrix(f: FreeHom) -> IntMatrix:
     if f.src_rank != f.dst_rank:
         raise ValueError("hom_matrix needs an endomorphism")
     return IntMatrix(tuple(im.abelianize() for im in f.images), cols=f.dst_rank)
-
-
-def monodromy_matrix(elem: SemidirectElement) -> IntMatrix:
-    """Homology action of the induced F_n automorphism, assembled blockwise:
-    the base 2x2 block, identity on the x_i, and per-row translation terms
-    (right exponents minus left exponents)."""
-    n = elem.n
-    mu = hom_matrix(elem.base.fwd)
-    rows = []
-    for i in range(2):
-        rows.append((mu[i, 0], mu[i, 1]) + (0,) * (n - 2))
-    for k in range(n - 2):
-        la, lb = elem.left[k].abelianize()
-        ra, rb = elem.right[k].abelianize()
-        tail = [0] * (n - 2)
-        tail[k] = 1
-        rows.append((ra - la, rb - lb) + tuple(tail))
-    return IntMatrix(rows, cols=n)
 
 
 # --- SL(2, Z) in the standard generators -----------------------------------

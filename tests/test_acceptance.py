@@ -81,10 +81,9 @@ def test_criterion_4_coinvariant_ranks(results):
     ok = ok and results["phi.monodromy_coinvariants"].actual == \
         {"n=3": 1, "n=4": 2, "n=5": 3, "n=6": 4}
     rng = random.Random(0)
-    from cgkernel.intlin import monodromy_matrix
     for _ in range(1000):
         n = rng.randint(3, 6)
-        m = monodromy_matrix(rand_semidirect(rng, n))
+        m = hom_matrix(rand_semidirect(rng, n).to_hom())
         if rank_q(m - IntMatrix.identity(n)) > 2:
             ok = False
             break

@@ -7,11 +7,12 @@ import sys
 
 import pytest
 
-from cgkernel.braids import (BraidWord, NonPureBraid, braid_action, braid_equal,
-                             braid_perm, braid_to_word, cardano_ferrari, delete_strand,
-                             delta_word, ell_word, expand_f2, f2_word,
-                             format_braid, generator_action, handle_reduce,
-                             handle_trivial, normal_form, parse_braid, pure_gen)
+from cgkernel.braids import (SIGMA_ACTION_TABLE, BraidWord, NonPureBraid,
+                             braid_action, braid_equal, braid_perm, braid_to_word,
+                             cardano_ferrari, delete_strand, delta_word, ell_word,
+                             expand_f2, f2_word, format_braid, generator_action,
+                             handle_reduce, handle_trivial, normal_form, parse_braid,
+                             pure_gen)
 from cgkernel.perms import parse_cycles
 from cgkernel.words import FreeHom, Word, compose, parse_word
 from cgkernel.intlin import hom_matrix, IntMatrix
@@ -216,6 +217,12 @@ class TestHandleReduction:
                 v = rand_braid(rng, n)
             assert braid_equal(u, v) == handle_trivial(u * v.inverse())
 
+    def test_step_budget(self, monkeypatch):
+        monkeypatch.setattr("cgkernel.braids.HANDLE_STEPS", 1)
+        assert handle_reduce(b("s1 s2")) == b("s1 s2")
+        with pytest.raises(RuntimeError):
+            handle_reduce(b("s1 s2 s1^-1"))
+
     def test_reduced_word_has_no_handles(self):
         rng = random.Random(4)
         for _ in range(100):
@@ -295,6 +302,21 @@ class TestConjugationAction:
     def test_row_out_of_range(self):
         with pytest.raises(ValueError):
             generator_action(4, 1)
+
+    def test_rows_are_parsed_once(self, monkeypatch):
+        parsed = []
+        real = parse_word
+
+        def counting(*args, **kwargs):
+            parsed.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("cgkernel.words.parse_word", counting)
+        generator_action.cache_clear()
+        rng = random.Random(11)
+        for _ in range(20):
+            braid_action(rand_braid(rng, 4, min_len=8))
+        assert 0 < len(parsed) <= 2 * len(SIGMA_ACTION_TABLE)
 
     def test_twist_actions(self):
         assert braid_action(pure_gen(2, 4, 4)) == FreeHom.from_strings(2, 2, ["a b^2", "b"])

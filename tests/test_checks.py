@@ -162,7 +162,7 @@ def test_gamma2_table_from_the_degree_3_action():
 
 def test_run_all_clears_every_cached_construction():
     cached = {name for name, f in vars(checks).items() if hasattr(f, "cache_clear")}
-    assert cached == {f.__name__ for f in checks._CACHED} and len(cached) == 4
+    assert cached == {f.__name__ for f in checks._CACHED} and len(cached) == 5
 
 
 @pytest.fixture()

@@ -10,6 +10,7 @@ import pytest
 from cgkernel import perms
 from cgkernel.cli import main
 from cgkernel.fpgroups import format_presentation, sl2z_presentation
+from cgkernel.intlin import parse_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -209,6 +210,16 @@ class TestLinearAlgebra:
         code, out, _ = run_cli(capsys, "snf", "[[2,0],[0,3]]")
         assert code == 0
         assert "D = [[1,0],[0,6]]" in out
+
+    def test_snf_transforms(self, capsys):
+        # pins the contract U*A*V = D with U and V unimodular, not one U and V
+        a = "[[2,4,4],[-6,6,12],[10,4,16]]"
+        code, out, _ = run_cli(capsys, "snf", a)
+        printed = dict(line.split(" = ") for line in out.splitlines())
+        d, u, v = (parse_matrix(printed[name]) for name in "DUV")
+        assert code == 0 and d == parse_matrix("[[2,0,0],[0,2,0],[0,0,156]]")
+        assert u * parse_matrix(a) * v == d
+        assert abs(u.det()) == abs(v.det()) == 1
 
     def test_sl2word(self, capsys):
         code, out, _ = run_cli(capsys, "sl2word", "[[1,2],[0,1]]")

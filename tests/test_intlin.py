@@ -89,6 +89,19 @@ class TestSmithNormalForm:
         d, _, _ = smith_normal_form(IntMatrix((), cols=4))
         assert d.rows == 0 and d.cols == 4
 
+    # each needs the divisibility step: the diagonal the row and column
+    # clearing leaves is not a divisibility chain
+    @pytest.mark.parametrize("a, expected", [
+        (((2, 0), (0, 3)), (1, 6)),
+        (((4, 0), (0, 6)), (2, 12)),
+        (((2, 0, 0), (0, 3, 0), (0, 0, 5)), (1, 1, 30)),
+        (((2, 4, 4), (-6, 6, 12), (10, 4, 16)), (2, 2, 156)),
+    ])
+    def test_divisibility_step(self, a, expected):
+        d = assert_valid_snf(IntMatrix(a))
+        assert d == IntMatrix(tuple(tuple(x if i == j else 0 for j in range(len(expected)))
+                                    for i, x in enumerate(expected)))
+
     def test_random_matrices(self):
         rng = random.Random(0)
         for _ in range(400):
