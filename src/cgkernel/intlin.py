@@ -227,13 +227,25 @@ def sparse_cokernel(rows: dict[int, dict[int, int]], ncols: int) -> AbelianStruc
     up.
 
     Relation matrices from Reidemeister-Schreier are tall, sparse and full of
-    +-1 entries, so unit pivots are eliminated first, each time the one of
-    lowest Markowitz cost (row nonzeros - 1) * (column nonzeros - 1).  A
-    pivot A[r][c] = +-1 says generator c equals a combination of the others:
-    clearing column c from the other rows with row r and then dropping row r
-    and column c leaves the quotient unchanged (Havas, Holt and Rees,
-    "Recognizing badly presented Z-modules", 1993).  Only the rows left once
-    no unit entry remains go to smith_normal_form.
+    +-1 entries, and about half their rows are the Tietze moves of the
+    Schreier tree: one unit entry (a generator is trivial) or two (one
+    generator is +- another).  Those rows are applied first, at ingest, as a
+    union-find over columns with signs (Havas, Holt and Rees, "Recognizing
+    badly presented Z-modules", 1993).  Every row is rewritten in the root
+    columns; one that rewrites to a single +-1 entry zeroes its root, and
+    one that rewrites to a*e_p + b*e_q with a, b = +-1 joins root p to root
+    q as e_p = -a*b*e_q.  Each move is a unimodular column operation that
+    removes one generator, and its row becomes zero after it, so the
+    quotient is unchanged.  Rows are rewritten again until no row reduces
+    to either form; a rewritten row that cancels to nothing is dropped.
+
+    What is left is eliminated on the live root columns by unit pivots, each
+    time the one of lowest Markowitz cost (row nonzeros - 1) * (column
+    nonzeros - 1).  A pivot A[r][c] = +-1 says generator c equals a
+    combination of the others: clearing column c from the other rows with
+    row r and then dropping row r and column c leaves the quotient
+    unchanged.  Only the rows left once no unit entry remains go to
+    smith_normal_form.
 
     A heap record is pushed for each unit entry at the start and then only
     when an update makes an entry +-1, so every unit entry keeps a live
@@ -243,13 +255,53 @@ def sparse_cokernel(rows: dict[int, dict[int, int]], ncols: int) -> AbelianStruc
     Costs that drop are not refreshed, which makes the order less greedy,
     not the answer less exact.
     """
-    where: dict[int, set[int]] = {j: set() for j in range(ncols)}  # column -> row keys
+    span = range(ncols)
     for i, row in list(rows.items()):
         if not row:
             del rows[i]
             continue
-        if not where.keys() >= row.keys() or not all(row.values()):
+        if not all(map(span.__contains__, row)) or not all(row.values()):
             raise ValueError(f"row {i} has a zero entry or a column outside 0..{ncols - 1}")
+    # e_j = sign[j] * e_up[j]; a root has up[j] == j, and a zeroed column
+    # hangs under the extra node ncols, which stands for 0
+    up = list(range(ncols + 1))
+    sign = [1] * (ncols + 1)
+    moved = True
+    while moved:  # each move removes a root, so the passes end
+        moved = False
+        for i, row in list(rows.items()):
+            new: dict[int, int] = {}
+            for j, x in row.items():
+                if up[j] != j:
+                    path = []
+                    while up[j] != j:
+                        path.append(j)
+                        j = up[j]
+                    s = 1
+                    for k in reversed(path):  # compress: each on the path points at the root
+                        s *= sign[k]
+                        up[k], sign[k] = j, s
+                    if j == ncols:
+                        continue
+                    x *= s
+                new[j] = new.get(j, 0) + x
+            if not all(new.values()):
+                new = {j: x for j, x in new.items() if x}
+            if len(new) > 2 or not all(x == 1 or x == -1 for x in new.values()):
+                rows[i] = new
+                continue
+            del rows[i]
+            if len(new) == 1:  # +-e_p = 0
+                (p, _), = new.items()
+                up[p] = ncols
+                moved = True
+            elif new:  # a*e_p + b*e_q = 0
+                (p, a), (q, b) = new.items()
+                up[p], sign[p] = q, -a * b
+                moved = True
+    # live root column -> row keys
+    where: dict[int, set[int]] = {j: set() for j in span if up[j] == j}
+    for i, row in rows.items():
         for j in row:
             where[j].add(i)
     # every unit entry as (Markowitz cost, row, column), cheapest on top

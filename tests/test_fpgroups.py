@@ -540,7 +540,6 @@ class TestReidemeisterSchreier:
         assert (len(sub.relators), sub.ngens) == (10800, 2881)
         assert abelianization(sub) == AbelianStructure(0)
 
-    @pytest.mark.slow
     def test_regular_kernel_of_s7_is_trivial(self):
         # a 105840 x 25201 relation matrix; the dense route cannot hold it
         pres = symmetric_coxeter(7)
@@ -564,7 +563,6 @@ class TestReidemeisterSchreier:
         assert ct.index == 720
         assert abelianization(reidemeister_schreier(ct)) == AbelianStructure(15)
 
-    @pytest.mark.slow
     def test_pure_braid_group_p7(self):
         # index 5040, a 75600 x 25201 relation matrix
         ct = pure_braid_table(7)

@@ -1,7 +1,7 @@
 """Smith normal form, cokernels, coinvariants, and SL(2,Z) words."""
 
 import random
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd
 
 import pytest
@@ -11,8 +11,11 @@ from cgkernel.intlin import (AbelianStructure, IntMatrix, coinvariants,
                              cokernel, eval_st, format_matrix, format_st,
                              invariants_rank, parse_matrix, parse_st, rank_q,
                              sl2_word, smith_normal_form, sparse_cokernel)
-from cgkernel.fpgroups import abelianization, coset_table_from_quotient, reidemeister_schreier
-from cgkernel.perms import Permutation
+from cgkernel.checks import sl2z2_images, strand_transpositions
+from cgkernel.fpgroups import (abelianization, braid_mod_center_presentation,
+                               coset_table_from_quotient, reidemeister_schreier,
+                               sl2z_presentation)
+from cgkernel.perms import Permutation, quotient_map_s4_to_s3
 from cgkernel.words import Word
 
 from test_fpgroups import pure_braid_table, symmetric_coxeter
@@ -190,6 +193,71 @@ def sparse_cases():
         yield rows, m
 
 
+def sparse_rows(m):
+    """The nonzero entries of each row of m, as sparse rows."""
+    return {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(m.data)}
+
+
+# Hand-made inputs for the Tietze moves sparse_cokernel applies at ingest,
+# each with its quotient worked out by hand
+INGEST_CASES = [
+    # a chain e0 = -e1, e1 = e2 with mixed signs, then e0 - e2 + 3 e3
+    # rewrites to -2 e2 + 3 e3: Z^4 / <...> = Z
+    (IntMatrix(((1, 1, 0, 0), (0, -1, 1, 0), (1, 0, -1, 3))), AbelianStructure(1)),
+    # e0 = e1, so e0 + e1 becomes 2 e1 (Z/2) and a second e0 - e1 cancels
+    (IntMatrix(((1, -1, 0), (1, 1, 0), (1, -1, 0))), AbelianStructure(1, (2,))),
+    # e1 = -e0, so -e0 - e1 cancels to an empty row
+    (IntMatrix(((1, 1, 0), (-1, -1, 0), (0, 1, 2))), AbelianStructure(1)),
+    # -e1 = 0 kills a column two longer rows use, leaving 2 e0 and 4 e2
+    (IntMatrix(((0, -1, 0), (2, 5, 0), (0, 3, 4))), AbelianStructure(0, (2, 4))),
+    # duplicate rows, short and long
+    (IntMatrix(((1, 1, 0), (1, 1, 0), (0, 2, 3), (0, 2, 3))), AbelianStructure(1)),
+    # consumed entirely at ingest: e0 = -e1 = -e2 = 0 and e3 = 0, and the last
+    # row cancels; e4 is untouched
+    (IntMatrix(((1, 1, 0, 0, 0), (0, 1, -1, 0, 0), (0, 0, -1, 0, 0), (0, 0, 0, 1, 0),
+                (1, 0, 0, -1, 0))), AbelianStructure(1)),
+]
+
+
+def unit_rich_cases():
+    """Seeded tall sparse matrices, most of whose rows are short unit rows
+    (one or two +-1 entries, the Tietze moves), the rest longer rows with
+    entries up to 3 in absolute value."""
+    rng = random.Random(15)
+    for _ in range(300):
+        cols = rng.randint(4, 10)
+        data = []
+        for _ in range(rng.randint(cols // 2, 2 * cols)):
+            row = [0] * cols
+            k = rng.choice((1, 2, 2, 2, 3, 4))
+            for j in rng.sample(range(cols), k):
+                row[j] = rng.choice((1, -1) if k <= 2 else (1, -1, 2, -2, 3, -3))
+            data.append(row)
+        yield IntMatrix(data, cols=cols)
+
+
+def ingest_cases():
+    """INGEST_CASES and unit_rich_cases as (rows, m), like sparse_cases."""
+    for m, _ in INGEST_CASES:
+        yield sparse_rows(m), m
+    for m in unit_rich_cases():
+        yield sparse_rows(m), m
+
+
+@pytest.fixture
+def heaps(monkeypatch):
+    """The size of every heap sparse_cokernel builds."""
+    seen = []
+    build = intlin.heapify
+
+    def recording_heapify(heap):
+        seen.append(len(heap))
+        build(heap)
+
+    monkeypatch.setattr(intlin, "heapify", recording_heapify)
+    return seen
+
+
 @pytest.fixture
 def remainders(monkeypatch):
     """Every matrix sparse_cokernel hands to smith_normal_form."""
@@ -207,13 +275,14 @@ def remainders(monkeypatch):
 class TestSparseCokernel:
     def test_agrees_with_the_matrix_wrapper_and_dense_snf(self):
         shapes = {"zero rows": 0, "unused columns": 0, "repeated rows": 0}
-        for rows, m in sparse_cases():
+        for rows, m in chain(sparse_cases(), ingest_cases()):
             data = m.data
             shapes["zero rows"] += not all(any(row) for row in data)
             shapes["unused columns"] += not all(any(col) for col in zip(*data))
             shapes["repeated rows"] += len(set(data)) < len(data)
             assert sparse_cokernel(rows, m.cols) == cokernel(m) == snf_structure(m)
         assert min(shapes.values()) >= 333
+        assert [snf_structure(m) for m, _ in INGEST_CASES] == [ab for _, ab in INGEST_CASES]
 
     def test_every_unit_entry_is_eliminated_before_snf(self, remainders):
         # each unit entry keeps a live heap record until it is pivoted on or
@@ -227,11 +296,13 @@ class TestSparseCokernel:
     @pytest.mark.parametrize("table, free_rank", [
         (pure_braid_table, lambda n: n * (n - 1) // 2),
         (regular_table, lambda n: 0)], ids=["pure_braid", "regular_kernel"])
-    def test_subgroup_relation_matrices_leave_no_unit_entry(self, remainders, table, free_rank, n):
-        # P_4..P_6 and the regular kernels of S_4..S_6: every unit entry is
-        # pivoted on, so any remainder left for smith_normal_form has none
+    def test_subgroup_relation_matrices_leave_no_unit_entry(self, remainders, heaps, table,
+                                                             free_rank, n):
+        # P_4..P_6 and the regular kernels of S_4..S_6: the Tietze moves at
+        # ingest consume every row, so no heap record is made and nothing is
+        # left for smith_normal_form, let alone a unit entry
         assert abelianization(reidemeister_schreier(table(n))) == AbelianStructure(free_rank(n))
-        assert all(x not in (1, -1) for a in remainders for row in a.data for x in row)
+        assert heaps == [0] and remainders == []
 
     def test_no_rows(self):
         assert sparse_cokernel({}, 4) == AbelianStructure(4)
@@ -252,6 +323,71 @@ class TestSparseCokernel:
         monkeypatch.setattr(intlin, "sparse_cokernel", recording_core)
         cokernel(IntMatrix(((0, 2, 0), (0, 0, 0), (-1, 0, 3))))
         assert seen == [({0: {1: 2}, 1: {}, 2: {0: -1, 2: 3}}, 3)]
+
+
+def rank_mod_p(rows, p):
+    """Rank over F_p of sparse integer rows {column: entry}.  Its own short
+    loop, sharing no code with sparse_cokernel (no heap, no union-find, no
+    Markowitz order): each row, shortest first, is reduced by the pivot rows
+    stored so far at its smallest column, until that column has no pivot row
+    and the row becomes one, scaled to 1 there."""
+    pivots = {}  # column -> row whose smallest column it is, with entry 1 there
+    for row in sorted(rows, key=len):
+        row = {j: x % p for j, x in row.items() if x % p}
+        while row:
+            c = min(row)
+            if c not in pivots:
+                inv = pow(row[c], -1, p)
+                pivots[c] = {j: x * inv % p for j, x in row.items()}
+                break
+            f = row[c]
+            for j, y in pivots[c].items():
+                v = (row.get(j, 0) - f * y) % p
+                if v:
+                    row[j] = v
+                else:
+                    row.pop(j, None)
+    return len(pivots)
+
+
+def relator_rows(pres):
+    """Exponent sums of each relator, as sparse rows."""
+    rows = []
+    for r in pres.relators:
+        row = {}
+        for g, s in r.letters:
+            row[g - 1] = row.get(g - 1, 0) + s
+        rows.append(row)
+    return rows
+
+
+def quotient_kernel(pres, images):
+    return reidemeister_schreier(coset_table_from_quotient(pres, images))
+
+
+class TestModPOracle:
+    # By universal coefficients dim H_1(H; F_p) = free rank + #{d : p | d},
+    # and H_1(H; F_p) is F_p^ngens over the relation rows mod p.  SL(2,Z),
+    # Gamma(2) and Gamma+ carry torsion (Z/12, Z^2 + Z/2, Z^2 + (Z/2)^3),
+    # which a rank over Q would not see
+    @pytest.mark.parametrize("pres", [
+        sl2z_presentation,
+        lambda: quotient_kernel(sl2z_presentation(), sl2z2_images()),
+        lambda: quotient_kernel(braid_mod_center_presentation(4), strand_transpositions()),
+        lambda: quotient_kernel(braid_mod_center_presentation(4),
+                                tuple(map(quotient_map_s4_to_s3(), strand_transpositions()))),
+        lambda: reidemeister_schreier(pure_braid_table(4)),
+        lambda: reidemeister_schreier(pure_braid_table(5)),
+        lambda: reidemeister_schreier(pure_braid_table(6)),
+        lambda: reidemeister_schreier(regular_table(5)),
+        lambda: reidemeister_schreier(regular_table(6)),
+    ], ids=["sl2z", "gamma2", "k4", "gammaplus", "p4", "p5", "p6", "s5_regular", "s6_regular"])
+    def test_dimension_mod_p_matches_the_cokernel(self, pres):
+        pres = pres()
+        ab = abelianization(pres)
+        for p in (2, 3, 5):
+            dim = pres.ngens - rank_mod_p(relator_rows(pres), p)
+            assert dim == ab.free_rank + sum(d % p == 0 for d in ab.torsion)
 
 
 class TestCoinvariantsAndInvariants:
