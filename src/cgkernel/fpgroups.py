@@ -440,7 +440,11 @@ def coset_table_from_quotient(pres: Presentation, images: Sequence[Permutation],
                               max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTable:
     """Coset table of the kernel of the homomorphism sending generator i to
     images[i], acting on the image group regularly.  Coset 0 is the identity;
-    the elements are in standard numbering.  The index is the order of the
+    the elements are in standard numbering.  The regular action is walked
+    with the images alone, one gather per point (`regular_orbit`).  Since the
+    action is regular, each inverse column is the inverse permutation of its
+    forward column, and one `orbit` pass over the integer columns renumbers
+    the elements into standard numbering.  The index is the order of the
     image group; when it passes ``max_cosets`` the walk stops there with
     CosetLimitExceeded."""
     if len(images) != pres.ngens:
@@ -449,7 +453,14 @@ def coset_table_from_quotient(pres: Presentation, images: Sequence[Permutation],
     for g in images:
         if g.n != deg:
             raise ValueError("image degree mismatch")
-    _, columns = regular_orbit([h for g in images for h in (g, g.inverse())], max_cosets)
+    forward = regular_orbit(images, max_cosets)[1]
+    # g^-1's column is the inverse permutation of g's: the cosets sorted by
+    # their images under g.  Sorting one list shares its ints among columns.
+    cosets = list(range(len(forward[0])))
+    table = []
+    for col in forward:
+        table += col, sorted(cosets, key=col.__getitem__)
+    _, columns = orbit(0, lambda c: [col[c] for col in table])
     ct = CosetTable(pres, (), columns)
     # the action is regular, so a relator closes at coset 0 iff its image is 1
     for r in pres.relators:

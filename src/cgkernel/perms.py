@@ -4,6 +4,7 @@ quotient S4 -> S3."""
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
 # closure returns every element as a Permutation; degree 8 (40,320
@@ -148,11 +149,16 @@ def regular_orbit(gens: Sequence[Permutation], limit: int | None = None
                   ) -> tuple[list, tuple[tuple[int, ...], ...]]:
     """`orbit` of the identity under right multiplication by ``gens``: the
     mapping tuples of the group they generate, and one column of products'
-    numbers per generator.  Each product is composed once, and no
-    Permutation is built."""
+    numbers per generator.  Each point's products are one C-level gather:
+    an itemgetter of the point, applied to every generator's mapping.  No
+    Permutation is built.  The group is finite, so forward generators reach
+    all of it, and a regular table needs no g^-1 walked: its column is the
+    inverse permutation of g's."""
+    n = gens[0].n
+    if n < 2:  # the trivial group, whose one point an itemgetter cannot gather
+        return orbit(tuple(range(1, n + 1)), lambda p: [p] * len(gens), limit)
     cols = [(0,) + g.mapping for g in gens]  # 1-based lookup: p * g is g[p[i]]
-    return orbit(tuple(range(1, gens[0].n + 1)),
-                 lambda p: [tuple(map(g.__getitem__, p)) for g in cols], limit)
+    return orbit(tuple(range(1, n + 1)), lambda p: map(itemgetter(*p), cols), limit)
 
 
 def closure(gens: Iterable[Permutation], degree: int | None = None) -> frozenset[Permutation]:

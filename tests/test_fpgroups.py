@@ -100,6 +100,32 @@ def sl2_mod_images(n):
     return [perm(((0, -1), (1, 0))), perm(((1, 1), (0, 1)))]
 
 
+def translations(n):
+    """a and b acting on (Z/N)^2 by the two unit translations: the Nielsen
+    quotient F_2 -> (Z/N)^2, of index N^2."""
+    pts = [(x, y) for x in range(n) for y in range(n)]
+    pos = {v: i + 1 for i, v in enumerate(pts)}
+    return [Permutation([pos[((x + 1) % n, y)] for x, y in pts]),
+            Permutation([pos[(x, (y + 1) % n)] for x, y in pts])]
+
+
+def interleaved_walk(images):
+    """Columns of the regular action of the image group, walked breadth first
+    from the identity with a product by each g and then by g^-1 at every
+    point: the standard numbering, with no inverse column built by inversion."""
+    gens = [h.mapping for g in images for h in (g, g.inverse())]
+    start = tuple(range(1, images[0].n + 1))
+    number, points, flat = {start: 0}, [start], []
+    for p in points:
+        for g in gens:
+            q = tuple(g[x - 1] for x in p)
+            if q not in number:
+                number[q] = len(points)
+                points.append(q)
+            flat.append(number[q])
+    return tuple(tuple(flat[x::len(gens)]) for x in range(len(gens)))
+
+
 def standardized(table):
     """The table renumbered breadth first from coset 0, columns in order."""
     number = {0: 0}
@@ -435,9 +461,14 @@ class TestQuotientTables:
         assert ct.index == 6
 
     def test_trivial_images(self):
-        ct = coset_table_from_quotient(sl2z_presentation(),
-                                       [Permutation.identity(1)] * 2)
-        assert ct.index == 1
+        # degrees 1 and 0, where a point has one entry or none
+        for n in (1, 0):
+            images = [Permutation.identity(n)] * 2
+            ct = coset_table_from_quotient(sl2z_presentation(), images)
+            assert ct.index == 1 and ct.columns == ((0,),) * 4
+            assert from_quotient(2, images).columns == ((0,),) * 4
+            with pytest.raises(CosetLimitExceeded):
+                coset_table_from_quotient(sl2z_presentation(), images, max_cosets=0)
 
     @pytest.mark.parametrize("pres, images", [
         *[(sl2z_presentation(), sl2_mod_images(n)) for n in range(3, 8)],
@@ -471,6 +502,33 @@ class TestQuotientTables:
             assert (ct.trace(0, w) == 0) == trivial
             outcomes.add(trivial)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("pres, images", [
+        *[(sl2z_presentation(), sl2_mod_images(n)) for n in range(2, 8)],
+        *[(symmetric_coxeter(n), [Permutation.transposition(n, i, i + 1) for i in range(1, n)])
+          for n in range(4, 8)],
+        (braid_mod_center_presentation(4), transpositions()),
+        (braid_mod_center_presentation(4),
+         [parse_cycles(c, 3) for c in ("(2,3)", "(1,2)", "(2,3)")]),
+        *[(braid_presentation(n), [Permutation.transposition(n, i, i + 1) for i in range(1, n)])
+          for n in range(4, 8)],
+        *[(Presentation(2, ()), translations(n)) for n in range(2, 9)],
+    ], ids=[*(f"Gamma{n}" for n in range(2, 8)), *(f"regular_S{n}" for n in range(4, 8)),
+            "K4", "GammaPlus", *(f"P{n}" for n in range(4, 8)),
+            *(f"nielsen{n}" for n in range(2, 9))])
+    def test_columns_match_the_interleaved_walk(self, pres, images):
+        # the forward walk plus inverted columns and a renumbering must give
+        # exactly the columns of a walk that multiplies by every g and g^-1
+        assert coset_table_from_quotient(pres, images).columns == interleaved_walk(images)
+
+    @pytest.mark.parametrize("pres, images, index", [
+        (sl2z_presentation(), sl2_mod_images(3), 24),
+        (symmetric_coxeter(5), [Permutation.transposition(5, i, i + 1) for i in range(1, 5)], 120),
+    ], ids=["Gamma3", "regular_S5"])
+    def test_coset_limit_is_the_index(self, pres, images, index):
+        assert coset_table_from_quotient(pres, images, max_cosets=index).index == index
+        with pytest.raises(CosetLimitExceeded):
+            coset_table_from_quotient(pres, images, max_cosets=index - 1)
 
     def test_relator_violation_detected(self):
         with pytest.raises(RelatorViolated):
@@ -568,6 +626,13 @@ class TestReidemeisterSchreier:
         ct = pure_braid_table(7)
         assert ct.index == 5040
         assert abelianization(reidemeister_schreier(ct)) == AbelianStructure(21)
+
+    def test_congruence_subgroup_gamma23_is_free_of_rank_1013(self):
+        # Gamma(N), N >= 3, is free of rank 1 + index/12 (Serre, Trees,
+        # II.1.5), and its index is |SL(2,Z/23)| = 23 * (23^2 - 1) = 12144
+        ct = coset_table_from_quotient(sl2z_presentation(), sl2_mod_images(23))
+        assert ct.index == 12144
+        assert abelianization(reidemeister_schreier(ct)) == AbelianStructure(1 + 12144 // 12)
 
     def test_rewrite_round_trip_through_schreier_generators(self):
         pres = sl2z_presentation()

@@ -112,6 +112,19 @@ def test_regular_orbit_limit_is_the_group_order():
         regular_orbit(gens, limit=23)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_regular_orbit_of_degree_below_two_is_the_trivial_group(n):
+    # a point of one or no entries is the case a gather of the point's
+    # entries does not turn into a tuple
+    ident = Permutation.identity(n)
+    start = tuple(range(1, n + 1))
+    assert regular_orbit([ident]) == ([start], ((0,),))
+    assert regular_orbit([ident] * 3, limit=1) == ([start], ((0,), (0,), (0,)))
+    with pytest.raises(CosetLimitExceeded):
+        regular_orbit([ident], limit=0)
+    assert closure([ident]) == closure([], degree=n) == {ident}
+
+
 def test_quotient_kernel_is_klein():
     q = quotient_map_s4_to_s3()
     s4 = closure([p("(1,2)"), p("(1,2,3,4)")])
