@@ -29,8 +29,7 @@ from .fpgroups import (CosetLimitExceeded, CosetTable, NotMember, Presentation,
                        parse_presentation, pure_braid3_mod_center_presentation,
                        pure_braid3_presentation, reidemeister_schreier,
                        sl2z_presentation, todd_coxeter)
-from .subgroups import (NotStabilized, expand, from_quotient, membership,
-                        restrict_hom, rewrite)
+from .subgroups import NotStabilized, expand, from_quotient, restrict_hom
 from .checks import (CHECK_IDS, CheckResult, Config, UnknownCheck, run_all,
                      run_check)
 

@@ -15,10 +15,10 @@ import sys
 from .braids import braid_equal, braid_perm, format_braid, normal_form, parse_braid
 from .checks import CHECK_IDS, Config, UnknownCheck, run_all
 from .fpgroups import (CosetLimitExceeded, abelianization, parse_presentation,
-                       reidemeister_schreier, todd_coxeter)
+                       reidemeister_schreier, rewrite_in_subgroup, todd_coxeter)
 from .intlin import format_matrix, format_st, parse_matrix, sl2_word, smith_normal_form
 from .perms import DEFAULT_MAX_COSETS, format_cycles, parse_cycles
-from .subgroups import from_quotient, rewrite
+from .subgroups import from_quotient
 from .words import format_word, parse_word
 
 ENV_MAX_COSETS = "CGKERNEL_MAX_COSETS"
@@ -171,7 +171,7 @@ def _cmd_subgroup(args) -> int:
         for w in ct.basis:
             print(format_word(w))
     else:
-        rewritten = rewrite(ct, parse_word(args.word, args.rank))
+        rewritten = rewrite_in_subgroup(ct, parse_word(args.word, args.rank))
         print(format_word(rewritten, tuple(f"g{i}" for i in range(1, rewritten.rank + 1))))
     return 0
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .intlin import AbelianStructure, sparse_cokernel
 from .perms import (DEFAULT_MAX_COSETS, CosetLimitExceeded, Permutation, orbit,
@@ -100,19 +100,20 @@ def format_presentation(pres: Presentation) -> str:
 
 def abelianization(pres: Presentation) -> AbelianStructure:
     """Cokernel of the relator exponent matrix.  Each relator's exponent
-    sums are added up straight into a sparse row {generator - 1: sum} for
-    `sparse_cokernel`; a relator whose sums all vanish gives no row, and no
+    sums are added up straight into a sparse row {generator - 1: sum}, and
+    `sparse_cokernel` takes the rows one at a time, in relator order, as
+    they are made; a relator whose sums all vanish gives no row, and no
     dense row or matrix is built."""
-    rows = {}
-    for i, r in enumerate(pres.relators):
-        row: dict[int, int] = {}
-        for g, s in r.letters:
-            row[g - 1] = row.get(g - 1, 0) + s
-        if not all(row.values()):
-            row = {j: x for j, x in row.items() if x}
-        if row:
-            rows[i] = row
-    return sparse_cokernel(rows, pres.ngens)
+    def rows() -> Iterator[dict[int, int]]:
+        for r in pres.relators:
+            row: dict[int, int] = {}
+            for g, s in r.letters:
+                row[g - 1] = row.get(g - 1, 0) + s
+            if not all(row.values()):
+                row = {j: x for j, x in row.items() if x}
+            if row:
+                yield row
+    return sparse_cokernel(rows(), pres.ngens)
 
 
 def _cols(w: Word) -> tuple[int, ...]:

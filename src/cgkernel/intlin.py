@@ -214,30 +214,34 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 def cokernel(a: IntMatrix) -> AbelianStructure:
     """Structure of Z^cols / (row space of A): the nonzero entries of each
-    row, as sparse rows, go to sparse_cokernel."""
+    row, as one sparse row, go to sparse_cokernel as they are read."""
     span = tuple(range(a.cols))  # a tuple hands out its ints without allocating
-    return sparse_cokernel({i: {j: row[j] for j in compress(span, row)}
-                            for i, row in enumerate(a.data)}, a.cols)
+    return sparse_cokernel(({j: row[j] for j in compress(span, row)} for row in a.data),
+                           a.cols)
 
 
-def sparse_cokernel(rows: dict[int, dict[int, int]], ncols: int) -> AbelianStructure:
+def sparse_cokernel(rows: Iterable[dict[int, int]], ncols: int) -> AbelianStructure:
     """Structure of Z^ncols / (span of the rows), each row given sparse as
-    {column: nonzero integer entry} and keyed by any integers; empty rows
-    are dropped.  The rows are eliminated in place, so the caller gives them
-    up.
+    {column: nonzero integer entry}.  The rows are read once, in order, and
+    each is checked as it arrives; an empty row is dropped.  The caller's
+    dicts are not changed.
 
     Relation matrices from Reidemeister-Schreier are tall, sparse and full of
     +-1 entries, and about half their rows are the Tietze moves of the
     Schreier tree: one unit entry (a generator is trivial) or two (one
-    generator is +- another).  Those rows are applied first, at ingest, as a
+    generator is +- another).  Those rows are applied as they arrive, as a
     union-find over columns with signs (Havas, Holt and Rees, "Recognizing
-    badly presented Z-modules", 1993).  Every row is rewritten in the root
-    columns; one that rewrites to a single +-1 entry zeroes its root, and
-    one that rewrites to a*e_p + b*e_q with a, b = +-1 joins root p to root
-    q as e_p = -a*b*e_q.  Each move is a unimodular column operation that
-    removes one generator, and its row becomes zero after it, so the
-    quotient is unchanged.  Rows are rewritten again until no row reduces
-    to either form; a rewritten row that cancels to nothing is dropped.
+    badly presented Z-modules", 1993).  Each arriving row is rewritten in
+    the root columns; one that rewrites to a single +-1 entry zeroes its
+    root, and one that rewrites to a*e_p + b*e_q with a, b = +-1 joins root
+    p to root q as e_p = -a*b*e_q.  Each move is a unimodular column
+    operation that removes one generator, and its row becomes zero after
+    it, so the quotient is unchanged.  Any other row is kept, keyed by its
+    arrival position.  Once every row is read, each kept row is rewritten
+    once more onto the final roots, since later moves may have merged or
+    zeroed its columns, and dropped if it cancels to nothing; that rewrite
+    makes no move, so a row it leaves with one or two unit entries goes on
+    to the loop below, which pivots it first.
 
     What is left is eliminated on the live root columns by unit pivots, each
     time the one of lowest Markowitz cost (row nonzeros - 1) * (column
@@ -256,61 +260,58 @@ def sparse_cokernel(rows: dict[int, dict[int, int]], ncols: int) -> AbelianStruc
     not the answer less exact.
     """
     span = range(ncols)
-    for i, row in list(rows.items()):
-        if not row:
-            del rows[i]
-            continue
-        if not all(map(span.__contains__, row)) or not all(row.values()):
-            raise ValueError(f"row {i} has a zero entry or a column outside 0..{ncols - 1}")
     # e_j = sign[j] * e_up[j]; a root has up[j] == j, and a zeroed column
     # hangs under the extra node ncols, which stands for 0
     up = list(range(ncols + 1))
     sign = [1] * (ncols + 1)
-    moved = True
-    while moved:  # each move removes a root, so the passes end
-        moved = False
-        for i, row in list(rows.items()):
-            new: dict[int, int] = {}
-            for j, x in row.items():
-                if up[j] != j:
-                    path = []
-                    while up[j] != j:
-                        path.append(j)
-                        j = up[j]
-                    s = 1
-                    for k in reversed(path):  # compress: each on the path points at the root
-                        s *= sign[k]
-                        up[k], sign[k] = j, s
-                    if j == ncols:
-                        continue
-                    x *= s
-                new[j] = new.get(j, 0) + x
-            if not all(new.values()):
-                new = {j: x for j, x in new.items() if x}
-            if len(new) > 2 or not all(x == 1 or x == -1 for x in new.values()):
-                rows[i] = new
-                continue
-            del rows[i]
-            if len(new) == 1:  # +-e_p = 0
-                (p, _), = new.items()
-                up[p] = ncols
-                moved = True
-            elif new:  # a*e_p + b*e_q = 0
-                (p, a), (q, b) = new.items()
-                up[p], sign[p] = q, -a * b
-                moved = True
+
+    def rewrite(row: dict[int, int]) -> dict[int, int]:
+        # the row in the root columns, as a new dict without zero entries
+        new: dict[int, int] = {}
+        for j, x in row.items():
+            if up[j] != j:
+                path = []
+                while up[j] != j:
+                    path.append(j)
+                    j = up[j]
+                s = 1
+                for k in reversed(path):  # compress: each on the path points at the root
+                    s *= sign[k]
+                    up[k], sign[k] = j, s
+                if j == ncols:
+                    continue
+                x *= s
+            new[j] = new.get(j, 0) + x
+        if not all(new.values()):
+            new = {j: x for j, x in new.items() if x}
+        return new
+
+    kept: dict[int, dict[int, int]] = {}
+    for i, row in enumerate(rows):
+        if not all(map(span.__contains__, row)) or not all(row.values()):
+            raise ValueError(f"row {i} has a zero entry or a column outside 0..{ncols - 1}")
+        new = rewrite(row)
+        if len(new) > 2 or not all(x == 1 or x == -1 for x in new.values()):
+            kept[i] = new
+        elif len(new) == 1:  # +-e_p = 0
+            (p, _), = new.items()
+            up[p] = ncols
+        elif new:  # a*e_p + b*e_q = 0
+            (p, a), (q, b) = new.items()
+            up[p], sign[p] = q, -a * b
+    kept = {i: new for i, row in kept.items() if (new := rewrite(row))}
     # live root column -> row keys
     where: dict[int, set[int]] = {j: set() for j in span if up[j] == j}
-    for i, row in rows.items():
+    for i, row in kept.items():
         for j in row:
             where[j].add(i)
     # every unit entry as (Markowitz cost, row, column), cheapest on top
     heap = [((len(row) - 1) * (len(where[j]) - 1), i, j)
-            for i, row in rows.items() for j, x in row.items() if x == 1 or x == -1]
+            for i, row in kept.items() for j, x in row.items() if x == 1 or x == -1]
     heapify(heap)
     while heap:
         cost, r, c = heappop(heap)
-        row = rows.get(r)
+        row = kept.get(r)
         x = row.get(c) if row is not None else None
         if x != 1 and x != -1:
             continue  # stale: the row is gone or the entry changed
@@ -318,11 +319,11 @@ def sparse_cokernel(rows: dict[int, dict[int, int]], ncols: int) -> AbelianStruc
         if now > cost:  # the row or column grew since the push
             heappush(heap, (now, r, c))
             continue
-        del rows[r]
+        del kept[r]
         for j in row:
             where[j].discard(r)
         for i in where.pop(c):
-            other = rows[i]
+            other = kept[i]
             f = other.pop(c) * x  # other -= f * row clears column c
             for j, y in row.items():
                 if j == c:
@@ -338,12 +339,12 @@ def sparse_cokernel(rows: dict[int, dict[int, int]], ncols: int) -> AbelianStruc
                     del other[j]
                     where[j].discard(i)
             if not other:
-                del rows[i]
+                del kept[i]
     live = sorted(j for j, rs in where.items() if rs)
     nonzero: list[int] = []
-    if rows:
+    if kept:
         d, _, _ = smith_normal_form(
-            IntMatrix(tuple(tuple(row.get(j, 0) for j in live) for row in rows.values()),
+            IntMatrix(tuple(tuple(row.get(j, 0) for j in live) for row in kept.values()),
                       cols=len(live)))
         nonzero = [x for x in (d[i, i] for i in range(min(d.rows, d.cols))) if x]
     return AbelianStructure(len(where) - len(nonzero), tuple(x for x in nonzero if x > 1))

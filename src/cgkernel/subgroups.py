@@ -28,15 +28,6 @@ def from_quotient(rank: int, images: Sequence[Permutation],
     return coset_table_from_quotient(Presentation(rank, ()), images, max_cosets)
 
 
-def membership(ct: CosetTable, w: Word) -> bool:
-    return ct.trace(0, w) == 0
-
-
-# Schreier rewriting of a member word over the basis letters; raises NotMember
-# for a word outside the subgroup.
-rewrite = rewrite_in_subgroup
-
-
 def expand(ct: CosetTable, w: Word) -> Word:
     """Substitute basis words back into a word over the basis letters."""
     return FreeHom(len(ct.basis), ct.presentation.ngens, ct.basis)(w)
@@ -49,7 +40,7 @@ def restrict_hom(ct: CosetTable, f: Aut) -> FreeHom:
     if f.rank != ct.presentation.ngens:
         raise ValueError("rank mismatch")
     try:
-        images = tuple(rewrite(ct, f.fwd(u)) for u in ct.basis)
+        images = tuple(rewrite_in_subgroup(ct, f.fwd(u)) for u in ct.basis)
     except NotMember:
         raise NotStabilized("automorphism does not stabilize the subgroup") from None
     if any(ct.trace(0, f.inv(u)) != 0 for u in ct.basis):

@@ -50,12 +50,6 @@ class Word:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _same(self, letters: Iterable[Letter]) -> "Word":
-        # a word of this class and rank, whatever the subclass constructor takes
-        word = object.__new__(type(self))
-        Word.__init__(word, self.rank, letters)
-        return word
-
     @classmethod
     def _reduced(cls, rank: int, letters: tuple[Letter, ...]) -> "Word":
         # a word from a letter tuple its caller has proved freely reduced,
@@ -76,17 +70,17 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} != {other.rank}")
-        return self._same(self.letters + other.letters)
+        return self._reduced(self.rank, _reduce(self.letters + other.letters))
 
     def inverse(self) -> "Word":
-        return self._same(tuple((i, -s) for i, s in reversed(self.letters)))
+        return self._reduced(self.rank, tuple((i, -s) for i, s in reversed(self.letters)))
 
     __invert__ = inverse
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        return self._same(self.letters * n)
+        return self._reduced(self.rank, _reduce(self.letters * n))
 
     def conjugate(self, by: "Word") -> "Word":
         """by * self * by^-1."""
@@ -114,7 +108,7 @@ class Word:
         lo, hi = 0, len(ls) - 1
         while lo < hi and ls[lo][0] == ls[hi][0] and ls[lo][1] == -ls[hi][1]:
             lo, hi = lo + 1, hi - 1
-        return self if lo == 0 else self._same(ls[lo:hi + 1])
+        return self if lo == 0 else self._reduced(self.rank, ls[lo:hi + 1])
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -154,11 +154,11 @@ class TestAbelianization:
         seen = []
         core = fpgroups.sparse_cokernel
         monkeypatch.setattr(fpgroups, "sparse_cokernel",
-                            lambda rows, n: seen.append({i: dict(r) for i, r in rows.items()})
-                            or core(rows, n))
+                            lambda rows, n: seen.append([dict(r) for r in rows])
+                            or core(seen[-1], n))
         pres = parse_presentation("gens: a b\nrel: a b A B\nrel: a a\nrel: b a B A\n")
         assert abelianization(pres) == AbelianStructure(1, (2,))
-        assert seen == [{1: {0: 2}}]
+        assert seen == [[{0: 2}]]
 
     def test_generator_in_no_relator_stays_free(self):
         pres = parse_presentation("gens: a b c\nrel: a a a\nrel: c c c c c c\n")

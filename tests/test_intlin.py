@@ -18,7 +18,7 @@ from cgkernel.fpgroups import (abelianization, braid_mod_center_presentation,
 from cgkernel.perms import Permutation, quotient_map_s4_to_s3
 from cgkernel.words import Word
 
-from test_fpgroups import pure_braid_table, symmetric_coxeter
+from test_fpgroups import pure_braid_table, sl2_mod_images, symmetric_coxeter
 
 # homology actions of the four parity-stabilizer automorphisms restricted to
 # the index-2 kernel, in the Schreier basis (a, b a b^-1, b^2); frozen from an
@@ -168,10 +168,10 @@ def snf_structure(a):
 
 
 def sparse_cases():
-    """The 1000 random sparse cases as (rows, m): m an IntMatrix and rows its
-    nonzero entries under scattered keys, in shuffled order, with the entries
-    in shuffled column order and all-zero rows left in.  Each third of the
-    cases adds zero rows, unused columns or repeated rows."""
+    """The 1000 random sparse cases as (rows, m): m an IntMatrix and rows a
+    list of its nonzero entries, row by row in shuffled order, with the
+    entries in shuffled column order and all-zero rows left in.  Each third
+    of the cases adds zero rows, unused columns or repeated rows."""
     rng = random.Random(11)
     for case in range(1000):
         a = rand_sparse_matrix(rng, rng.randint(1, 9), rng.randint(6, 8))
@@ -185,17 +185,20 @@ def sparse_cases():
             data += [list(rng.choice(data)) for _ in range(rng.randint(1, 4))]
         rng.shuffle(data)
         m = IntMatrix(data)
-        rows = {}
-        for key, row in zip(rng.sample(range(-100, 1000), len(data)), data):
+        # a draw that nothing reads: without it the seeded stream, and so
+        # every later case, would change
+        rng.sample(range(-100, 1000), len(data))
+        rows = []
+        for row in data:
             cols = [j for j, x in enumerate(row) if x]
             rng.shuffle(cols)
-            rows[key] = {j: row[j] for j in cols}
+            rows.append({j: row[j] for j in cols})
         yield rows, m
 
 
 def sparse_rows(m):
-    """The nonzero entries of each row of m, as sparse rows."""
-    return {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(m.data)}
+    """The nonzero entries of each row of m, as a list of sparse rows."""
+    return [{j: x for j, x in enumerate(row) if x} for row in m.data]
 
 
 # Hand-made inputs for the Tietze moves sparse_cokernel applies at ingest,
@@ -216,6 +219,10 @@ INGEST_CASES = [
     # row cancels; e4 is untouched
     (IntMatrix(((1, 1, 0, 0, 0), (0, 1, -1, 0, 0), (0, 0, -1, 0, 0), (0, 0, 0, 1, 0),
                 (1, 0, 0, -1, 0))), AbelianStructure(1)),
+    # e0 + e1 + e2 is kept, as it arrives before e2 = 0; rewritten after it,
+    # it is the unit row e0 + e1, which the Markowitz loop pivots on to turn
+    # 2 e0 - 2 e1 into -4 e1: Z/4
+    (IntMatrix(((1, 1, 1), (0, 0, 1), (2, -2, 0))), AbelianStructure(0, (4,))),
 ]
 
 
@@ -304,25 +311,52 @@ class TestSparseCokernel:
         assert abelianization(reidemeister_schreier(table(n))) == AbelianStructure(free_rank(n))
         assert heaps == [0] and remainders == []
 
+    def test_a_row_made_unit_by_a_later_move_reaches_the_markowitz_loop(self, heaps,
+                                                                       remainders):
+        m, ab = INGEST_CASES[-1]
+        assert sparse_cokernel(sparse_rows(m), m.cols) == ab
+        # the unit entries of e0 + e1; the remainder is the row -4 e1
+        assert heaps == [2] and remainders == [IntMatrix(((-4,),))]
+
+    def test_reads_a_one_shot_stream_once_and_changes_no_row(self):
+        # a generator can be read only once, so a second pass over it would
+        # see no rows; each row dict, entries and their order, stays as given
+        for rows, m in chain(sparse_cases(), ingest_cases()):
+            before = [list(row.items()) for row in rows]
+            read = []
+
+            def stream():
+                for row in rows:
+                    read.append(row)
+                    yield row
+
+            assert sparse_cokernel(stream(), m.cols) == snf_structure(m)
+            assert read == rows
+            assert [list(row.items()) for row in rows] == before
+
     def test_no_rows(self):
-        assert sparse_cokernel({}, 4) == AbelianStructure(4)
-        assert sparse_cokernel({7: {}}, 0) == AbelianStructure(0)
+        assert sparse_cokernel([], 4) == AbelianStructure(4)
+        assert sparse_cokernel([{}], 0) == AbelianStructure(0)
 
     @pytest.mark.parametrize("row", [{0: 1, 1: 0}, {3: 1}, {-1: 2}])
     def test_rejects_zero_entries_and_columns_out_of_range(self, row):
         with pytest.raises(ValueError):
-            sparse_cokernel({0: row}, 3)
+            sparse_cokernel([row], 3)
+        # late in the stream, after rows that make moves and rows that are kept
+        good = [{0: 1, 1: -1}, {0: 2, 1: 3, 2: 1}, {}, {2: 1}, {1: 4}]
+        with pytest.raises(ValueError, match="row 5 "):
+            sparse_cokernel(iter(good + [row, {0: 1}]), 3)
 
     def test_matrix_wrapper_hands_every_row_to_the_core(self, monkeypatch):
         seen = []
 
         def recording_core(rows, ncols):
-            seen.append(({i: dict(r) for i, r in rows.items()}, ncols))
+            seen.append(([dict(r) for r in rows], ncols))
             return AbelianStructure(0)
 
         monkeypatch.setattr(intlin, "sparse_cokernel", recording_core)
         cokernel(IntMatrix(((0, 2, 0), (0, 0, 0), (-1, 0, 3))))
-        assert seen == [({0: {1: 2}, 1: {}, 2: {0: -1, 2: 3}}, 3)]
+        assert seen == [([{1: 2}, {}, {0: -1, 2: 3}], 3)]
 
 
 def rank_mod_p(rows, p):
@@ -369,7 +403,8 @@ class TestModPOracle:
     # By universal coefficients dim H_1(H; F_p) = free rank + #{d : p | d},
     # and H_1(H; F_p) is F_p^ngens over the relation rows mod p.  SL(2,Z),
     # Gamma(2) and Gamma+ carry torsion (Z/12, Z^2 + Z/2, Z^2 + (Z/2)^3),
-    # which a rank over Q would not see
+    # which a rank over Q would not see.  Gamma(5), Gamma(7) and Gamma(13)
+    # are the subgroup inputs whose rows still reach the Markowitz loop
     @pytest.mark.parametrize("pres", [
         sl2z_presentation,
         lambda: quotient_kernel(sl2z_presentation(), sl2z2_images()),
@@ -381,7 +416,11 @@ class TestModPOracle:
         lambda: reidemeister_schreier(pure_braid_table(6)),
         lambda: reidemeister_schreier(regular_table(5)),
         lambda: reidemeister_schreier(regular_table(6)),
-    ], ids=["sl2z", "gamma2", "k4", "gammaplus", "p4", "p5", "p6", "s5_regular", "s6_regular"])
+        lambda: quotient_kernel(sl2z_presentation(), sl2_mod_images(5)),
+        lambda: quotient_kernel(sl2z_presentation(), sl2_mod_images(7)),
+        lambda: quotient_kernel(sl2z_presentation(), sl2_mod_images(13)),
+    ], ids=["sl2z", "gamma2", "k4", "gammaplus", "p4", "p5", "p6", "s5_regular", "s6_regular",
+            "gamma5", "gamma7", "gamma13"])
     def test_dimension_mod_p_matches_the_cokernel(self, pres):
         pres = pres()
         ab = abelianization(pres)
