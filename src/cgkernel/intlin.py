@@ -110,7 +110,9 @@ def parse_matrix(text: str) -> IntMatrix:
         data = ast.literal_eval(text)
     except (ValueError, SyntaxError) as exc:
         raise ValueError(f"bad matrix literal: {exc}") from None
-    if not isinstance(data, (list, tuple)):
+    # a dict or set row would read in key or hash order, an int none at all
+    if not isinstance(data, (list, tuple)) or not all(isinstance(row, (list, tuple))
+                                                       for row in data):
         raise ValueError("matrix literal must be a list of rows")
     return IntMatrix(data)
 
@@ -141,30 +143,18 @@ class AbelianStructure:
         return " + ".join(parts) if parts else "0"
 
 
-def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (D, U, V) with D = U*A*V, U and V unimodular, D diagonal with
-    d_1 | d_2 | ... and every d_i >= 0.
+def _smith(m: list[list[int]], nr: int, nc: int) -> None:
+    """Bring the leading nr x nc block of m to Smith normal form in place:
+    diagonal, with d_1 | d_2 | ... and every d_i >= 0.  The search and the
+    clearing read that block only, but every row and column operation acts
+    on whole rows and whole columns of m, so rows and columns bordering the
+    block record the transforms.
 
     One pivot loop (Cohen 1993, section 2.4): the pivot is the smallest
     nonzero absolute value in the trailing block, and once its row and column
     are clear, a row with an entry it does not divide joins the pivot row, so
     the next pivot is a smaller remainder and divisibility holds at each one.
     """
-    m = [list(row) for row in a.data]
-    nr, nc = a.rows, a.cols
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def row_add(dst, src, c):  # row_dst += c * row_src
-        m[dst] = [x + c * y for x, y in zip(m[dst], m[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def col_add(dst, src, c):
-        for row in m:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
     k = 0
     while k < min(nr, nc):
         # smallest-|nonzero| pivot in the trailing block
@@ -177,39 +167,51 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             break
         i, j = pivot
         m[k], m[i] = m[i], m[k]
-        u[k], u[i] = u[i], u[k]
         for row in m:
-            row[k], row[j] = row[j], row[k]
-        for row in v:
             row[k], row[j] = row[j], row[k]
         if m[k][k] < 0:
             m[k] = [-x for x in m[k]]
-            u[k] = [-x for x in u[k]]
         # clear row and column; restart if a remainder creates a smaller entry
         dirty = False
         for i in range(k + 1, nr):
             if m[i][k] != 0:
                 q = m[i][k] // m[k][k]
-                row_add(i, k, -q)
+                m[i] = [x - q * y for x, y in zip(m[i], m[k])]
                 if m[i][k] != 0:
                     dirty = True
         for j in range(k + 1, nc):
             if m[k][j] != 0:
                 q = m[k][j] // m[k][k]
-                col_add(j, k, -q)
+                for row in m:
+                    row[j] -= q * row[k]
                 if m[k][j] != 0:
                     dirty = True
         if dirty:
             continue
         # a row with an entry the pivot does not divide joins the pivot row
         p = m[k][k]
-        bad = next((i for i in range(k + 1, nr) if any(x % p for x in m[i][k + 1:])), None)
+        bad = next((i for i in range(k + 1, nr) if any(x % p for x in m[i][k + 1:nc])), None)
         if bad is not None:
-            row_add(k, bad, 1)
+            m[k] = [x + y for x, y in zip(m[k], m[bad])]
             continue
         k += 1
-    d = IntMatrix(m, cols=nc)
-    return d, IntMatrix(u, cols=nr), IntMatrix(v, cols=nc)
+
+
+def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Return (D, U, V) with D = U*A*V, U and V unimodular, D diagonal with
+    d_1 | d_2 | ... and every d_i >= 0.
+
+    _smith runs once on the bordered matrix [[A, I_r], [I_c, 0]]: its row
+    operations carry I_r along into U, its column operations carry I_c along
+    into V, and the zero corner stays zero.
+    """
+    nr, nc = a.rows, a.cols
+    m = [list(row) + [int(i == j) for j in range(nr)] for i, row in enumerate(a.data)]
+    m += [[int(i == j) for j in range(nc)] + [0] * nr for i in range(nc)]
+    _smith(m, nr, nc)
+    return (IntMatrix([row[:nc] for row in m[:nr]], cols=nc),
+            IntMatrix([row[nc:] for row in m[:nr]], cols=nr),
+            IntMatrix([row[:nc] for row in m[nr:]], cols=nc))
 
 
 def cokernel(a: IntMatrix) -> AbelianStructure:
@@ -248,8 +250,9 @@ def sparse_cokernel(rows: Iterable[dict[int, int]], ncols: int) -> AbelianStruct
     nonzeros - 1).  A pivot A[r][c] = +-1 says generator c equals a
     combination of the others: clearing column c from the other rows with
     row r and then dropping row r and column c leaves the quotient
-    unchanged.  Only the rows left once no unit entry remains go to
-    smith_normal_form.
+    unchanged.  The rows left once no unit entry remains go, as plain lists
+    over the live columns, to the Smith pivot loop _smith, which builds no
+    transform; only its diagonal is read.
 
     A heap record is pushed for each unit entry at the start and then only
     when an update makes an entry +-1, so every unit entry keeps a live
@@ -343,10 +346,9 @@ def sparse_cokernel(rows: Iterable[dict[int, int]], ncols: int) -> AbelianStruct
     live = sorted(j for j, rs in where.items() if rs)
     nonzero: list[int] = []
     if kept:
-        d, _, _ = smith_normal_form(
-            IntMatrix(tuple(tuple(row.get(j, 0) for j in live) for row in kept.values()),
-                      cols=len(live)))
-        nonzero = [x for x in (d[i, i] for i in range(min(d.rows, d.cols))) if x]
+        m = [[row.get(j, 0) for j in live] for row in kept.values()]
+        _smith(m, len(m), len(live))
+        nonzero = [x for x in (m[i][i] for i in range(min(len(m), len(live)))) if x]
     return AbelianStructure(len(where) - len(nonzero), tuple(x for x in nonzero if x > 1))
 
 

@@ -70,7 +70,12 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} != {other.rank}")
-        return self._reduced(self.rank, _reduce(self.letters + other.letters))
+        # both factors are reduced, so only letters at the junction cancel
+        a, b = self.letters, other.letters
+        n, most = 0, min(len(a), len(b))
+        while n < most and a[-1 - n][0] == b[n][0] and a[-1 - n][1] == -b[n][1]:
+            n += 1
+        return self._reduced(self.rank, a[:len(a) - n] + b[n:])
 
     def inverse(self) -> "Word":
         return self._reduced(self.rank, tuple((i, -s) for i, s in reversed(self.letters)))

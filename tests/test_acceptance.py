@@ -17,13 +17,14 @@ from cgkernel.checks import (APQ_ACTION_TABLE, APQ_MATRIX_TABLE, CF_IMAGE_TABLE,
 from cgkernel.fpgroups import rewrite_in_subgroup
 from cgkernel import intlin
 from cgkernel.intlin import (AbelianStructure, IntMatrix, cokernel, eval_st, hom_matrix,
-                             rank_q, sl2_word, smith_normal_form)
+                             rank_q, sl2_word)
 from cgkernel.perms import Permutation, parse_cycles
 from cgkernel.subgroups import expand, from_quotient
 from cgkernel.words import FreeHom, Word, compose
 
 from test_braids import rand_braid, rand_relator_product
-from test_intlin import assert_valid_snf, rand_matrix, rand_sparse_matrix
+from test_intlin import (assert_valid_snf, rand_matrix, rand_sparse_matrix, rank_mod_p,
+                         sparse_rows)
 from test_words import rand_semidirect
 
 
@@ -181,23 +182,30 @@ class TestCriterion7PropertySuites:
         sparse = [rand_sparse_matrix(rng, rng.randint(55, 65), rng.randint(27, 33))
                   for _ in range(20)]
         remainders = []
+        smith = intlin._smith
 
-        def recording_snf(m):
-            remainders.append(m)
-            return smith_normal_form(m)
+        def recording_smith(m, nr, nc):
+            remainders.append(IntMatrix([row[:nc] for row in m[:nr]], cols=nc))
+            smith(m, nr, nc)
 
-        monkeypatch.setattr(intlin, "smith_normal_form", recording_snf)
+        monkeypatch.setattr(intlin, "_smith", recording_smith)
         both_phases = 0
         for a in cases + sparse:
             d = assert_valid_snf(a)
             diag = [x for x in (d[i, i] for i in range(min(d.rows, d.cols))) if x]
             remainders.clear()
-            assert cokernel(a) == AbelianStructure(a.cols - len(diag),
-                                                   tuple(x for x in diag if x > 1))
+            ab = cokernel(a)
+            assert ab == AbelianStructure(a.cols - len(diag), tuple(x for x in diag if x > 1))
             both_phases += a in sparse and any(0 < m.cols < a.cols for m in remainders)
+            # the mod-p oracle, sharing no code with cokernel's D-only path:
+            # dim over F_p of the quotient is free rank + #{d : p | d}
+            for p in (2, 3, 5):
+                assert (a.cols - rank_mod_p(sparse_rows(a), p)
+                        == ab.free_rank + sum(d % p == 0 for d in ab.torsion))
         # unit pivots shrank every tall sparse case, leaving a dense remainder
         assert both_phases == len(sparse)
-        report(7.4, "SNF factorization, divisibility and cokernel (1000+ cases)", True)
+        report(7.4, "SNF factorization, divisibility, cokernel and its dimension "
+                    "mod 2, 3 and 5 (1000+ cases)", True)
 
     def test_sl2_word_round_trip(self):
         rng = random.Random(104)

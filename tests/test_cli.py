@@ -160,6 +160,10 @@ class TestBraid:
         code, _, err = run_cli(capsys, "braid", "perm", "-n", "4", "zz")
         assert code == 2 and "error" in err
 
+    def test_bad_exponent(self, capsys):
+        assert (run_cli(capsys, "braid", "nf", "-n", "4", "s1^x")
+                == (2, "", "error: bad exponent in 's1^x'\n"))
+
 
 class TestCosetEnumeration:
     def test_index(self, capsys, sl2_file):
@@ -204,6 +208,16 @@ class TestCosetEnumeration:
         code, _, err = run_cli(capsys, "tc", "/does/not/exist", "t")
         assert code == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("gens: a b\ngens: a b\nrel: a^2\n", "duplicate gens line"),
+        ("gens:\nrel: 1\n", "empty generator list"),
+        ("gens: a b\nfoo: a b\n", "unrecognized line 'foo: a b'"),
+    ], ids=["duplicate_gens", "empty_gens", "unknown_line"])
+    def test_malformed_presentation_is_usage_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.pres"
+        path.write_text(text, encoding="utf-8")
+        assert run_cli(capsys, "tc", str(path), "a") == (2, "", f"error: {message}\n")
+
 
 class TestLinearAlgebra:
     def test_snf(self, capsys):
@@ -236,6 +250,18 @@ class TestLinearAlgebra:
     def test_snf_rejects_bool_entries(self, capsys):
         code, out, err = run_cli(capsys, "snf", "[[True,2],[3,4]]")
         assert code == 2 and out == "" and "True" in err
+
+    # a row that is not a list: an int would crash IntMatrix, and a dict or
+    # set row would be read in key or hash order; then a literal that does
+    # not parse and one that is not a list at all
+    @pytest.mark.parametrize("argv", [
+        ("snf", "[3]"), ("snf", "[[1,2],3]"), ("sl2word", "[3]"),
+        ("snf", "[[1,2],{3:4,5:6}]"), ("snf", "[[1,2],{3,4}]"),
+        ("snf", "[[1,2"), ("snf", "5"),
+    ])
+    def test_malformed_matrix_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 # `subgroup basis` and `subgroup rewrite` output pinned line by line: coset
@@ -297,6 +323,10 @@ class TestSubgroup:
         code, _, err = run_cli(capsys, "subgroup", "rewrite", "-r", "2", "-d", "2",
                                "--images", "id;(1,2)", "b")
         assert code == 2
+
+    def test_one_image_for_two_generators_is_usage_error(self, capsys):
+        assert (run_cli(capsys, "subgroup", "basis", "-r", "2", "-d", "3", "--images", "(1,2)")
+                == (2, "", "error: one image per generator\n"))
 
     def test_limit_bounds_cosets(self, capsys, monkeypatch):
         # the 8-cycle and (1,2) generate S_8: 40,320 cosets

@@ -1,5 +1,6 @@
 """Smith normal form, cokernels, coinvariants, and SL(2,Z) words."""
 
+import hashlib
 import random
 from itertools import chain, combinations
 from math import gcd
@@ -110,6 +111,19 @@ class TestSmithNormalForm:
         for _ in range(400):
             a = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
             assert_valid_snf(a)
+
+    def test_transforms_match_the_recorded_digest(self):
+        # D, U and V of 1500 seeded matrices, hashed; the digest was recorded
+        # from the loop that kept U and V as lists of their own, so a changed
+        # operation, or the same ones in another order, shows here
+        rng = random.Random(19)
+        digest = hashlib.sha256()
+        for _ in range(1500):
+            bound = rng.choice((2, 5, 30))
+            a = rand_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), bound)
+            digest.update(" ".join(map(format_matrix, smith_normal_form(a))).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "fb6dffd6c03cffc35f40e0f965ea0c1d212f60016b6ae3ed01a0325246291f5f")
 
     def test_larger_matrices(self):
         rng = random.Random(1)
@@ -267,15 +281,17 @@ def heaps(monkeypatch):
 
 @pytest.fixture
 def remainders(monkeypatch):
-    """Every matrix sparse_cokernel hands to smith_normal_form."""
+    """Every matrix sparse_cokernel hands to the Smith pivot loop, as an
+    IntMatrix; each must come bare, with no rows or columns for U or V."""
     seen = []
-    snf = intlin.smith_normal_form
+    smith = intlin._smith
 
-    def recording_snf(a):
-        seen.append(a)
-        return snf(a)
+    def recording_smith(m, nr, nc):
+        assert len(m) == nr and all(len(row) == nc for row in m)
+        seen.append(IntMatrix(m, cols=nc))
+        smith(m, nr, nc)
 
-    monkeypatch.setattr(intlin, "smith_normal_form", recording_snf)
+    monkeypatch.setattr(intlin, "_smith", recording_smith)
     return seen
 
 
@@ -307,7 +323,7 @@ class TestSparseCokernel:
                                                              free_rank, n):
         # P_4..P_6 and the regular kernels of S_4..S_6: the Tietze moves at
         # ingest consume every row, so no heap record is made and nothing is
-        # left for smith_normal_form, let alone a unit entry
+        # left for the Smith pivot loop, let alone a unit entry
         assert abelianization(reidemeister_schreier(table(n))) == AbelianStructure(free_rank(n))
         assert heaps == [0] and remainders == []
 

@@ -45,6 +45,28 @@ class TestWord:
             assert u * u.inverse() == Word.identity(rank)
             assert u.inverse().inverse() == u
 
+    def test_product_matches_reducing_the_concatenation(self):
+        # the product cancels only at the junction; the oracle reduces the
+        # whole concatenation, so cancelling too little or too much shows
+        rng = random.Random(19)
+        shapes = {"none": 0, "partial": 0, "complete": 0}
+        for case in range(3000):
+            rank = rng.randint(1, 4)
+            a, b = (Word(rank, [(rng.randint(1, rank), rng.choice((1, -1)))
+                                for _ in range(rng.randint(0, 12))]) for _ in range(2))
+            head = a.inverse().letters[:rng.randint(1, max(1, len(a)))]
+            if case % 3 == 1:  # b opens with the inverse of a tail of a, then goes on
+                b = Word(rank, head + b.letters + ((rng.randint(1, rank), 1),))
+            elif case % 3 == 2:  # b is the inverse of a tail of a: all of b cancels
+                b = Word(rank, head)
+            product = a * b
+            want = Word(rank, a.letters + b.letters)
+            assert product == want and type(product) is Word
+            cancelled = (len(a) + len(b) - len(want)) // 2
+            shapes["none" if not cancelled else
+                   "complete" if cancelled == min(len(a), len(b)) else "partial"] += 1
+        assert min(shapes.values()) >= 300
+
     def test_power_equals_repeated_product(self):
         rng = random.Random(1)
         for _ in range(100):
