@@ -151,10 +151,11 @@ def format_braid(w: BraidWord) -> str:
 
 
 class _SimpleTable:
-    """Products with the generators and starting/finishing bitmasks (bit i
-    for s_i) of the permutation braids of B_n, indexed by code."""
+    """Products with the generators, starting/finishing bitmasks (bit i for
+    s_i) and conjugates by the half twist of the permutation braids of B_n,
+    indexed by code."""
 
-    __slots__ = ("perms", "code", "right", "left", "start", "finish", "delta")
+    __slots__ = ("perms", "code", "right", "left", "start", "finish", "tau", "delta")
 
     def __init__(self, n: int):
         perms = list(permutations(range(1, n + 1)))
@@ -180,6 +181,8 @@ class _SimpleTable:
         self.perms, self.code = perms, code
         self.right, self.left = right, left
         self.start, self.finish = start, finish
+        # Delta^-1 x Delta: i -> n+1-x(n+1-i), so s_i <-> s_(n-i)
+        self.tau = [code[tuple(n + 1 - v for v in reversed(p))] for p in perms]
         self.delta = len(perms) - 1
 
 
@@ -262,25 +265,29 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
     letters follows it.  The factors are kept left-weighted as they are
     appended: a single right-to-left pass transfers starting generators of
     each factor into its predecessor and stops at the first pair that is
-    already left-weighted.  Half twists that reach the front join the power.
+    already left-weighted.  A factor that is or becomes the half twist is
+    taken out where it stands, by f * Delta = Delta * tau(f) with tau the
+    conjugation by Delta: the factors before it are replaced by their
+    conjugates, the power goes up by one and the pass ends, since tau keeps
+    pairs left-weighted and (tau(f), g) is the pair the half twist would
+    leave behind on its way to the front.
     """
     n = w.n
     t = _simples(n)
-    right, left, start, finish = t.right, t.left, t.start, t.finish
+    right, left, start, finish, tau = t.right, t.left, t.start, t.finish, t.tau
     delta = t.delta
     after = sum(1 for _, sign in w.letters if sign < 0)  # negative letters still to come
     power = -after
-    factors: list[int] = []
-    lo = 0  # factors[:lo] are half twists already counted in power
+    factors: list[int] = []  # left-weighted, none of them Delta
     for idx, sign in w.letters:
         if sign < 0:
             after -= 1
         if after & 1:
             idx = n - idx  # conjugation by Delta swaps s_i and s_(n-i)
         y = left[0][idx] if sign > 0 else right[delta][idx]  # s_idx or Delta * s_idx^-1
+        j = len(factors)
         factors.append(y)
-        j = len(factors) - 1
-        while j > lo:
+        while j and y != delta:
             x = factors[j - 1]
             todo = start[y] & ~finish[x]
             if not todo:
@@ -292,13 +299,14 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
             factors[j] = y
             j -= 1
             factors[j] = y = x
-        if not factors[-1]:
-            factors.pop()
-        if lo < len(factors) and factors[lo] == delta:
-            lo += 1
+        if y == delta:
+            del factors[j]
+            factors[:j] = map(tau.__getitem__, factors[:j])
             power += 1
+        if factors and not factors[-1]:
+            factors.pop()
     perms = t.perms
-    return GarsideNormalForm(n, power, [Permutation(perms[c]) for c in factors[lo:]])
+    return GarsideNormalForm(n, power, [Permutation(perms[c]) for c in factors])
 
 
 def braid_equal(u: BraidWord, v: BraidWord) -> bool:

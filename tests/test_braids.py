@@ -1,6 +1,7 @@
 """Braid words, Garside normal form, handle reduction, strand operations,
 and the conjugation action on the rank-2 normal subgroup of B_4."""
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -134,6 +135,45 @@ class TestGarside:
         with pytest.raises(ValueError):
             BraidWord(7, ())
 
+    def test_b2_letters_are_half_twists(self):
+        for k in range(-6, 7):
+            word = BraidWord(2, [(1, 1 if k > 0 else -1)] * abs(k))
+            nf = normal_form(word)
+            assert (nf.delta_power, nf.factors) == (k, ())
+
+    def test_half_twist_conjugates_generators(self):
+        # s_i Delta = Delta s_(n-i): the identity that takes half twists out
+        for n in range(3, 7):
+            for i in range(1, n):
+                nf = normal_form(BraidWord.gen(n, i) * delta_word(n))
+                assert nf == normal_form(delta_word(n) * BraidWord.gen(n, n - i))
+                assert nf.delta_power == 1 and nf.factor_words() == [BraidWord.gen(n, n - i)]
+
+    def test_forms_match_the_recorded_digest(self):
+        # (n, Delta power, factor mappings) of 2000 seeded words in B_2..B_6:
+        # positive, negative, mixed and trivial words of 0-300 letters.  The
+        # digest was recorded from the pass that walked each half twist to the
+        # front one left-weighting step at a time.
+        rng = random.Random(21)
+        digest = hashlib.sha256()
+        for k in range(2000):
+            n, kind = 2 + k % 5, k // 5 % 4
+            length = rng.randint(0, 300)
+            signs = (1,) if kind < 2 else (1, -1)
+            alphabet = [(i, e) for i in range(1, n) for e in signs]
+            if kind == 3:
+                word = BraidWord(n, rng.choices(alphabet, k=length // 2))
+                twin = relation_rewrite(rng, word, len(word)) if len(word) > 2 else word
+                word = word * twin.inverse()
+            else:
+                word = BraidWord(n, rng.choices(alphabet, k=length))
+                if kind == 1:
+                    word = word.inverse()
+            nf = normal_form(word)
+            digest.update(f"{n} {nf.delta_power} {[f.mapping for f in nf.factors]}\n".encode())
+        assert digest.hexdigest() == (
+            "fac1f58e962cc0f0a3016b1793eec18a27c53372ca1b6178784f676ff9262035")
+
     def test_tables_are_built_on_first_use(self):
         code = ("import cgkernel, cgkernel.braids as b; assert not b._SIMPLE_TABLES; "
                 "b.normal_form(b.parse_braid('s1', 5)); assert list(b._SIMPLE_TABLES) == [5]")
@@ -143,7 +183,8 @@ class TestGarside:
 
 class TestLongWords:
     """Algorithm-independent properties of normal forms of 200-500-letter
-    words in B_5 and B_6."""
+    words in B_5 and B_6, mixed ones and their inverses in B_2 and B_3, and
+    mixed ones of 2000 random letters in B_4 and B_6."""
 
     @pytest.fixture(scope="class")
     def cases(self):
@@ -154,6 +195,13 @@ class TestLongWords:
                 for _ in range(3):
                     word = rand_braid(rng, n, 500, 200, positive)
                     out.append((word, normal_form(word)))
+        for n in (2, 3):
+            for _ in range(3):
+                word = rand_braid(rng, n, 500, 200)  # in B_2, a power of s1 = Delta
+                out += [(w, normal_form(w)) for w in (word, word.inverse())]
+        for n in (4, 6):
+            word = rand_braid(rng, n, 2000, 2000)
+            out.append((word, normal_form(word)))
         return out
 
     def test_factors_are_proper_and_left_weighted(self, cases):
@@ -184,7 +232,7 @@ class TestLongWords:
         rng = random.Random(12)
         for word, _ in cases:
             twin = relation_rewrite(rng, word, len(word))
-            assert twin != word
+            assert twin != word or word.n == 2  # B_2 has no braid relation
             assert normal_form(word * twin.inverse()).is_trivial()
 
 

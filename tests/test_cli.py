@@ -1,6 +1,7 @@
 """End-to-end CLI contract: subcommands, output shapes, exit codes."""
 
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from cgkernel import perms
+from cgkernel.braids import BraidWord, format_braid, normal_form
 from cgkernel.cli import main
 from cgkernel.fpgroups import format_presentation, sl2z_presentation
 from cgkernel.intlin import parse_matrix
@@ -121,6 +123,9 @@ NF_GOLDEN = [
     (4, "Delta^-3 s2", "Delta^-3 · s2"),
     (4, "center", "Delta^2 ·"),
     (4, "s1 s1^-1", "Delta^0 ·"),
+    (2, "s1 s1", "Delta^2 ·"),
+    (2, "s1^-3 s1", "Delta^-2 ·"),
+    (3, "s1 s2 s1 s2^-1 s1", "Delta^0 · s2 s1 · s1"),
 ]
 
 
@@ -129,6 +134,15 @@ class TestBraid:
     def test_nf_golden(self, capsys, n, word, expected):
         code, out, _ = run_cli(capsys, "braid", "nf", "-n", str(n), word)
         assert code == 0 and out == expected + "\n"
+
+    def test_nf_long_mixed_word(self, capsys):
+        rng = random.Random(21)
+        word = BraidWord(6, [(rng.randint(1, 5), rng.choice((1, -1))) for _ in range(2000)])
+        nf = normal_form(word)
+        code, out, _ = run_cli(capsys, "braid", "nf", "-n", "6", format_braid(word))
+        head, *groups = out.rstrip("\n").split(" · ")
+        assert code == 0 and head == f"Delta^{nf.delta_power}"
+        assert groups == [format_braid(f) for f in nf.factor_words()] and groups
 
     def test_eq_long_powers(self, capsys):
         code, out, _ = run_cli(capsys, "braid", "eq", "-n", "4",
