@@ -15,7 +15,7 @@ from itertools import permutations
 from typing import Iterable, Sequence
 
 from .perms import Permutation
-from .words import FreeHom, Letter, Word, _reduce, compose
+from .words import FreeHom, Letter, Word, compose
 
 MAX_STRANDS = 6
 HANDLE_STEPS = 1_000_000  # handle reductions before handle_reduce gives up
@@ -319,37 +319,44 @@ def braid_equal(u: BraidWord, v: BraidWord) -> bool:
 # --- Dehornoy handle reduction (cross-check oracle) --------------------------
 
 
-def _leftmost_handle(letters: list[Letter]) -> tuple[int, int] | None:
-    # a handle is s_i^e ... s_i^-e with only generators of larger index between
-    for k2, (i2, e2) in enumerate(letters):
-        for k1 in range(k2 - 1, -1, -1):
-            i1, e1 = letters[k1]
-            if i1 > i2:
-                continue
-            if i1 == i2 and e1 == -e2:
-                return (k1, k2)
-            break  # blocked by an index <= i2
-    return None
-
-
 def handle_reduce(w: BraidWord) -> BraidWord:
-    """Reduce the leftmost handle until none remains.  The result is empty iff
-    the braid is trivial (a nonempty handle-free word is sigma-definite)."""
-    letters = list(w.letters)
-    for _ in range(HANDLE_STEPS):
-        h = _leftmost_handle(letters)
-        if h is None:
-            return BraidWord(w.n, letters)
-        k1, k2 = h
-        i, e = letters[k1]
-        repl: list[Letter] = []
-        for j, d in letters[k1 + 1:k2]:
+    """Leftmost handle reduction in one left-to-right pass.  The result is
+    empty iff the braid is trivial (a nonempty handle-free word is
+    sigma-definite).
+
+    A handle is s_i^e v s_i^-e with only generators of index > i in v; an
+    adjacent inverse pair is one with v empty, so no separate free reduction
+    is needed.  Reducing it replaces each s_(i+1)^d of v by
+    s_(i+1)^-e s_i^d s_(i+1)^e, drops the two ends and keeps the other letters.
+    Each such step counts against HANDLE_STEPS; a word that needs that many
+    raises RuntimeError.
+    """
+    out: list[Letter] = []  # the letters read so far, never holding a handle
+    todo = list(reversed(w.letters))  # the letters still to read, next one last
+    steps = HANDLE_STEPS
+    while todo:
+        i, e = letter = todo.pop()
+        k = len(out) - 1
+        while k >= 0 and out[k][0] > i:
+            k -= 1
+        if k < 0 or out[k] != (i, -e):
+            out.append(letter)
+            continue
+        # out[k:] + [letter] is a handle, and the leftmost one since out holds
+        # none.  Its reduction goes back onto todo, to be read again: out[:k]
+        # is unchanged and handle-free, so the next handle ends at or after
+        # the first letter pushed back.  The handle opens with s_i^-e, so each
+        # s_(i+1)^d becomes s_(i+1)^e s_i^d s_(i+1)^-e, pushed in reverse.
+        steps -= 1
+        if not steps:
+            raise RuntimeError("handle reduction exceeded the step budget")
+        for j, d in reversed(out[k + 1:]):
             if j == i + 1:
-                repl.extend([(i + 1, -e), (i, d), (i + 1, e)])
+                todo += ((j, -e), (i, d), (j, e))
             else:
-                repl.append((j, d))
-        letters = list(_reduce(letters[:k1] + repl + letters[k2 + 1:]))
-    raise RuntimeError("handle reduction exceeded the step budget")
+                todo.append((j, d))
+        del out[k:]
+    return BraidWord(w.n, out)
 
 
 def handle_trivial(w: BraidWord) -> bool:

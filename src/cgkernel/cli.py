@@ -151,9 +151,19 @@ def _cmd_tc(args) -> int:
 
 def _cmd_snf(args) -> int:
     d, u, v = smith_normal_form(parse_matrix(args.matrix))
-    print(f"D = {format_matrix(d)}")
-    print(f"U = {format_matrix(u)}")
-    print(f"V = {format_matrix(v)}")
+    # U and V of a valid matrix can pass CPython's limit on the digits of an
+    # int-to-str conversion (absent from versions that have none).  Lift it
+    # for the output alone, formatted in full before anything is printed; the
+    # input parse above keeps it.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = "\n".join(f"{name} = {format_matrix(m)}" for name, m in zip("DUV", (d, u, v)))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    print(text)
     return 0
 
 

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from cgkernel.braids import braid_equal, handle_trivial
+from cgkernel.braids import BraidWord, braid_equal, handle_trivial
 from cgkernel.checks import (APQ_ACTION_TABLE, APQ_MATRIX_TABLE, CF_IMAGE_TABLE,
                              CHECK_IDS, ELL_IDENTITY_TABLE, ELL_PSI_TABLE,
                              ELL_THETA4_TABLE, ST_WORD_TABLE, THETA_IMAGE_TABLE,
@@ -22,7 +22,7 @@ from cgkernel.perms import Permutation, parse_cycles
 from cgkernel.subgroups import expand, from_quotient
 from cgkernel.words import FreeHom, Word, compose
 
-from test_braids import rand_braid, rand_relator_product
+from test_braids import rand_braid, rand_relator_product, reduced_braid, relation_rewrite
 from test_intlin import (assert_valid_snf, rand_matrix, rand_sparse_matrix, rank_mod_p,
                          sparse_rows)
 from test_words import rand_semidirect
@@ -172,8 +172,26 @@ class TestCriterion7PropertySuites:
             equal += same
             agreements += 1
         assert equal >= 5
+        # 1,000-letter pairs, half of them equal by braid-relation rewrites;
+        # flipping one letter's sign changes the exponent sum, so each equal
+        # pair gives a negative control that both oracles must call unequal
+        controls = 0
+        for k in range(6):
+            n = 5 + k % 2
+            u = reduced_braid(rng, n, 1000)
+            v = relation_rewrite(rng, u, len(u)) if k < 3 else reduced_braid(rng, n, 1000)
+            same = braid_equal(u, v)
+            assert same == handle_trivial(u * v.inverse()) == (k < 3)
+            if same:
+                j = rng.randrange(len(v))
+                i, e = v.letters[j]
+                flipped = BraidWord(n, v.letters[:j] + ((i, -e),) + v.letters[j + 1:])
+                assert not braid_equal(u, flipped) and not handle_trivial(u * flipped.inverse())
+                controls += 1
+            agreements += 1
         report(7.3, f"Garside vs handle-reduction agreement ({agreements} pairs, "
-                    f"30 of 100-200 letters in B_5/B_6, {equal} of them equal)", True)
+                    f"30 of 100-200 letters in B_5/B_6, {equal} of them equal, and 6 of "
+                    f"1000 letters with {controls} sign-flip controls)", True)
 
     def test_smith_normal_form_properties(self, monkeypatch):
         rng = random.Random(103)

@@ -29,6 +29,16 @@ def rand_braid(rng, n, max_len=16, min_len=0, positive=False):
                          for _ in range(rng.randint(min_len, max_len))])
 
 
+def reduced_braid(rng, n, length):
+    """A freely reduced word of exactly `length` random letters."""
+    letters = []
+    while len(letters) < length:
+        letter = (rng.randint(1, n - 1), rng.choice((1, -1)))
+        if not letters or letters[-1] != (letter[0], -letter[1]):
+            letters.append(letter)
+    return BraidWord(n, letters)
+
+
 def relation_rewrite(rng, word, moves):
     """The same braid spelled differently, by random moves
     s_i^e s_j^f -> s_j^f s_i^e (|i-j| >= 2) and
@@ -42,6 +52,36 @@ def relation_rewrite(rng, word, moves):
         elif abs(i - j) == 1 and h == i and e == f == g:
             ls[k:k + 3] = [(j, e), (i, e), (j, e)]
     return BraidWord(word.n, ls)
+
+
+def digest_words(rng):
+    """2000 seeded words in B_2..B_6: positive, negative, mixed and trivial
+    ones (w times the inverse of a relation rewrite of w) of 0-300 letters."""
+    for k in range(2000):
+        n, kind = 2 + k % 5, k // 5 % 4
+        length = rng.randint(0, 300)
+        signs = (1,) if kind < 2 else (1, -1)
+        alphabet = [(i, e) for i in range(1, n) for e in signs]
+        if kind == 3:
+            word = BraidWord(n, rng.choices(alphabet, k=length // 2))
+            twin = relation_rewrite(rng, word, len(word)) if len(word) > 2 else word
+            word = word * twin.inverse()
+        else:
+            word = BraidWord(n, rng.choices(alphabet, k=length))
+            if kind == 1:
+                word = word.inverse()
+        yield word
+
+
+def dehornoy_class(word):
+    """"trivial" for the empty word, else the lowest generator index of a
+    handle-free word and the one sign it occurs with there."""
+    if not word.letters:
+        return "trivial"
+    low = min(i for i, _ in word.letters)
+    signs = {e for i, e in word.letters if i == low}
+    assert len(signs) == 1, "a handle-free word is sigma-definite"
+    return (low, signs.pop())
 
 
 def descents(mapping):
@@ -150,27 +190,14 @@ class TestGarside:
                 assert nf.delta_power == 1 and nf.factor_words() == [BraidWord.gen(n, n - i)]
 
     def test_forms_match_the_recorded_digest(self):
-        # (n, Delta power, factor mappings) of 2000 seeded words in B_2..B_6:
-        # positive, negative, mixed and trivial words of 0-300 letters.  The
-        # digest was recorded from the pass that walked each half twist to the
-        # front one left-weighting step at a time.
-        rng = random.Random(21)
+        # (n, Delta power, factor mappings) of the digest words.  The digest
+        # was recorded from the pass that walked each half twist to the front
+        # one left-weighting step at a time.
         digest = hashlib.sha256()
-        for k in range(2000):
-            n, kind = 2 + k % 5, k // 5 % 4
-            length = rng.randint(0, 300)
-            signs = (1,) if kind < 2 else (1, -1)
-            alphabet = [(i, e) for i in range(1, n) for e in signs]
-            if kind == 3:
-                word = BraidWord(n, rng.choices(alphabet, k=length // 2))
-                twin = relation_rewrite(rng, word, len(word)) if len(word) > 2 else word
-                word = word * twin.inverse()
-            else:
-                word = BraidWord(n, rng.choices(alphabet, k=length))
-                if kind == 1:
-                    word = word.inverse()
+        for word in digest_words(random.Random(21)):
             nf = normal_form(word)
-            digest.update(f"{n} {nf.delta_power} {[f.mapping for f in nf.factors]}\n".encode())
+            factors = [f.mapping for f in nf.factors]
+            digest.update(f"{word.n} {nf.delta_power} {factors}\n".encode())
         assert digest.hexdigest() == (
             "fac1f58e962cc0f0a3016b1793eec18a27c53372ca1b6178784f676ff9262035")
 
@@ -273,8 +300,10 @@ class TestHandleReduction:
 
     def test_reduced_word_has_no_handles(self):
         rng = random.Random(4)
-        for _ in range(100):
-            reduced = handle_reduce(rand_braid(rng, 4))
+        words = [rand_braid(rng, 4) for _ in range(100)]
+        words += [rand_braid(rng, n, 2000, 500) for n in (5, 6) for _ in range(3)]
+        for word in words:
+            reduced = handle_reduce(word)
             letters = list(reduced.letters)
             for k2, (i2, e2) in enumerate(letters):
                 for k1 in range(k2 - 1, -1, -1):
@@ -283,6 +312,36 @@ class TestHandleReduction:
                         continue
                     assert not (i1 == i2 and e1 == -e2)
                     break
+            assert braid_equal(reduced, word)
+
+    def test_classes_match_the_recorded_digest(self):
+        # (n, Dehornoy class) of the digest words.  The class of a braid is
+        # "trivial" or the lowest generator index of its handle-free word with
+        # that generator's one sign.  The digest was recorded from the
+        # reduction that rescanned the word from the start for the leftmost
+        # handle after every step.  Handle-free words are not unique, so the
+        # words themselves are not pinned.
+        digest = hashlib.sha256()
+        for word in digest_words(random.Random(22)):
+            digest.update(f"{word.n} {dehornoy_class(handle_reduce(word))}\n".encode())
+        assert digest.hexdigest() == (
+            "3e731422c849f3cd08184a6c5964a7c8e5a0aed7eb2ca6babbc3ca8f51c1c92c")
+
+    @pytest.mark.slow
+    def test_agrees_with_garside_on_8000_letter_pairs(self):
+        # At this length normal_form's conjugation of the factors before
+        # each half twist is still quadratic.  The B_6 pairs cost handle
+        # reduction the most: the equal one took 636,643 of the 1,000,000
+        # HANDLE_STEPS (2.2 s on a 2-core host) when this test was written.
+        rng = random.Random(23)
+        verdicts = []
+        for n in (4, 5, 6):
+            u = reduced_braid(rng, n, 8000)
+            for v in (relation_rewrite(rng, u, len(u)), reduced_braid(rng, n, 8000)):
+                same = braid_equal(u, v)
+                assert same == handle_trivial(u * v.inverse())
+                verdicts.append(same)
+        assert verdicts == [True, False] * 3
 
 
 class TestPureGenerators:

@@ -249,6 +249,24 @@ class TestLinearAlgebra:
         assert u * parse_matrix(a) * v == d
         assert abs(u.det()) == abs(v.det()) == 1
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this Python has no int-to-str digit limit")
+    def test_snf_prints_entries_past_the_int_str_limit(self, capsys):
+        # the U of this 22 x 22 matrix has entries of about 712 digits
+        rng = random.Random(1)
+        a = str([[rng.randint(-100, 100) for _ in range(22)] for _ in range(22)])
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli(capsys, "snf", a)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, err) == (0, "")
+        printed = dict(line.split(" = ") for line in out.splitlines())
+        d, u, v = (parse_matrix(printed[name]) for name in "DUV")
+        assert u * parse_matrix(a) * v == d
+        assert max(len(str(abs(e))) for row in u.data for e in row) > 640
+
     def test_sl2word(self, capsys):
         code, out, _ = run_cli(capsys, "sl2word", "[[1,2],[0,1]]")
         assert code == 0 and out.strip() == "t^2"
