@@ -424,12 +424,19 @@ def generator_action(i: int, sign: int) -> FreeHom:
 
 
 def braid_action(w: BraidWord) -> FreeHom:
-    """Diagrammatic composition of the per-letter actions over the word."""
+    """Diagrammatic composition of the per-letter actions over the word.
+
+    The fold runs from the right, ``f = compose(generator_action(i, s), f)``:
+    each step applies the action of the rest of the word to the two short
+    images of one letter's action, so ``FreeHom.__call__`` joins two or three
+    long image blocks instead of mapping a long image letter by letter.
+    Reduced images are unique, so this is the same hom as the left fold
+    ``compose(compose(id, a_1), a_2)...``."""
     if w.n != 4:
         raise ValueError("the F_2 conjugation action lives on B_4")
     f = FreeHom.identity(2)
-    for i, s in w.letters:
-        f = compose(f, generator_action(i, s))
+    for i, s in reversed(w.letters):
+        f = compose(generator_action(i, s), f)
     return f
 
 

@@ -24,6 +24,20 @@ def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     return tuple(out)
 
 
+def _inverse(letters: Sequence[Letter]) -> tuple[Letter, ...]:
+    return tuple((i, -s) for i, s in reversed(letters))
+
+
+def _junction(left: Sequence[Letter], right: Sequence[Letter]) -> int:
+    """How many letters cancel where two freely reduced letter sequences meet:
+    the last n of ``left`` against the first n of ``right``.  Since both are
+    reduced, nothing else in ``left + right`` can cancel."""
+    n, most = 0, min(len(left), len(right))
+    while n < most and left[-1 - n][0] == right[n][0] and left[-1 - n][1] == -right[n][1]:
+        n += 1
+    return n
+
+
 class Word:
     """A freely reduced word in the free group of the given rank.
 
@@ -70,15 +84,12 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} != {other.rank}")
-        # both factors are reduced, so only letters at the junction cancel
         a, b = self.letters, other.letters
-        n, most = 0, min(len(a), len(b))
-        while n < most and a[-1 - n][0] == b[n][0] and a[-1 - n][1] == -b[n][1]:
-            n += 1
+        n = _junction(a, b)
         return self._reduced(self.rank, a[:len(a) - n] + b[n:])
 
     def inverse(self) -> "Word":
-        return self._reduced(self.rank, tuple((i, -s) for i, s in reversed(self.letters)))
+        return self._reduced(self.rank, _inverse(self.letters))
 
     __invert__ = inverse
 
@@ -200,6 +211,9 @@ class FreeHom:
     src_rank: int
     dst_rank: int
     images: tuple[Word, ...]
+    # the letters of each image's inverse, a list that __call__ makes and
+    # fills on first need; not a field, so equality, hashing and repr ignore it
+    _inverses = None
 
     def __post_init__(self):
         if len(self.images) != self.src_rank:
@@ -219,14 +233,32 @@ class FreeHom:
                    tuple(parse_word(s, dst_rank, names) for s in images))
 
     def __call__(self, w: Word) -> Word:
+        """The image of w, built by joining the images of its letters as whole
+        blocks.  Each image is freely reduced and so is the output so far, so
+        letters cancel only where the output meets the next block (the rule
+        of ``Word.__mul__``); the rest of the block is copied in one extend.
+        The result is therefore reduced, and every letter is in range because
+        ``__post_init__`` checked each image's rank."""
         if w.rank != self.src_rank:
             raise ValueError(f"rank mismatch: word has rank {w.rank}, hom expects {self.src_rank}")
-        letters: list[Letter] = []
+        images, inverses = self.images, self._inverses
+        out: list[Letter] = []
         for idx, sign in w.letters:
-            im = self.images[idx - 1]
-            letters.extend(im.letters if sign == 1
-                           else tuple((i, -s) for i, s in reversed(im.letters)))
-        return Word(self.dst_rank, letters)
+            if sign == 1:
+                block = images[idx - 1].letters
+            else:
+                if inverses is None:
+                    inverses = [None] * self.src_rank
+                    object.__setattr__(self, "_inverses", inverses)
+                block = inverses[idx - 1]
+                if block is None:
+                    block = inverses[idx - 1] = _inverse(images[idx - 1].letters)
+            n = _junction(out, block)
+            if n:
+                del out[-n:]
+                block = block[n:]
+            out.extend(block)
+        return Word._reduced(self.dst_rank, tuple(out))
 
     def is_identity(self) -> bool:
         """self == FreeHom.identity(self.src_rank), without building it: each
@@ -359,8 +391,10 @@ class SemidirectElement:
         n = self.n
         images = [self.base.fwd.images[0].promote(n), self.base.fwd.images[1].promote(n)]
         for k in range(n - 2):
-            xi = Word.gen(n, k + 3)
-            images.append(self.left[k].promote(n).inverse() * xi * self.right[k].promote(n))
+            # left[k] and right[k] are reduced words in a, b only, so the
+            # letter x_(k+3) between them cancels with neither
+            images.append(Word._reduced(n, _inverse(self.left[k].letters) + ((k + 3, 1),)
+                                        + self.right[k].letters))
         return FreeHom(n, n, tuple(images))
 
     def to_aut(self) -> Aut:

@@ -440,6 +440,28 @@ class TestConjugationAction:
             u, v = rand_braid(rng, 4, 8), rand_braid(rng, 4, 8)
             assert braid_action(u * v) == compose(braid_action(u), braid_action(v))
 
+    def test_right_fold_matches_left_fold_and_matrix_product(self):
+        # braid_action folds from the right, so each step joins a few long
+        # image blocks; the left fold instead maps each long image through
+        # one letter's short images.  Images of 40-letter words run to
+        # thousands of letters, long enough for a junction that cancels too
+        # little or too much to show
+        rng = random.Random(24)
+        actions = {letter: generator_action(*letter) for letter in SIGMA_ACTION_TABLE}
+        matrices = {letter: hom_matrix(f) for letter, f in actions.items()}
+        longest = 0
+        for _ in range(200):
+            word = reduced_braid(rng, 4, rng.randint(0, 40))
+            left, product = FreeHom.identity(2), IntMatrix.identity(2)
+            for letter in word.letters:
+                left = compose(left, actions[letter])
+                product = product * matrices[letter]
+            got = braid_action(word)
+            assert got == left
+            assert hom_matrix(got) == product
+            longest = max(longest, *map(len, got.images))
+        assert longest >= 1000
+
     def test_action_lands_in_sl2(self):
         rng = random.Random(7)
         for _ in range(300):

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from cgkernel.words import (Aut, FreeHom, SemidirectElement, Word, compose,
-                            format_word, parse_word, transvection,
+from cgkernel.words import (Aut, FreeHom, SemidirectElement, Word, _reduce,
+                            compose, format_word, parse_word, transvection,
                             verify_automorphism)
 from cgkernel.braids import MAX_STRANDS, BraidWord
 from cgkernel.intlin import IntMatrix, hom_matrix, rank_q
@@ -17,6 +17,30 @@ def w(text, rank=2):
 
 def lam():
     return transvection(2, 1, 2)  # a -> ab
+
+
+def reduced_letters(rng, rank, length):
+    """`length` random letters of the given rank, freely reduced."""
+    letters = []
+    while len(letters) < length:
+        letter = (rng.randint(1, rank), rng.choice((1, -1)))
+        if not letters or letters[-1] != (letter[0], -letter[1]):
+            letters.append(letter)
+    return letters
+
+
+def apply_letter_by_letter(f, word):
+    """The oracle for FreeHom.__call__: the images of the word's letters
+    spelled out one letter at a time, each inverse image reversed with its
+    signs flipped, then one free reduction of the whole concatenation."""
+    letters = []
+    for idx, sign in word.letters:
+        image = f.images[idx - 1].letters
+        if sign == 1:
+            letters.extend(image)
+        else:
+            letters.extend((i, -s) for i, s in reversed(image))
+    return _reduce(letters)
 
 
 def rho():
@@ -137,6 +161,74 @@ class TestHom:
             u, v = (Word(2, [(rng.randint(1, 2), rng.choice((1, -1)))
                              for _ in range(rng.randint(0, 6))]) for _ in range(2))
             assert f(u * v) == f(u) * f(v)
+
+    def test_application_matches_reducing_the_letter_by_letter_image(self):
+        # the call joins whole image blocks and cancels only where the output
+        # meets the next block.  Images here are often inverses, conjugates or
+        # pieces of earlier images (a -> x y, b -> y^-1 x^-1), so a junction
+        # can eat a whole block and then cancel the next block into the output
+        rng = random.Random(23)
+        shapes = {"several letters cancel": 0, "a whole block cancels": 0,
+                  "cancels past a whole block": 0, "no cancellation": 0}
+        for case in range(2000):
+            if case % 4 == 0:
+                src, dst = rng.randint(1, 4), rng.randint(1, 4)
+                images = []
+                for _ in range(src):
+                    kind = rng.randrange(4) if images else 0
+                    if kind == 0:
+                        im = Word(dst, reduced_letters(rng, dst, rng.randint(0, 12)))
+                    elif kind == 1:
+                        im = rng.choice(images).inverse()
+                    elif kind == 2:
+                        c = Word(dst, reduced_letters(rng, dst, rng.randint(1, 3)))
+                        im = c * rng.choice(images) * c.inverse()
+                    else:
+                        ls = rng.choice(images + [im.inverse() for im in images]).letters
+                        lo = rng.randint(0, len(ls))
+                        im = Word(dst, ls[lo:rng.randint(lo, len(ls))])
+                    images.append(Word(dst, im.letters[:12]))
+                # the same hom serves four words, so inverse images built for
+                # one word are reused by the next
+                f = FreeHom(src, dst, tuple(images))
+            word = Word(src, reduced_letters(rng, src, rng.randint(0, 40)))
+            got = f(word)
+            assert type(got) is Word and got.rank == dst
+            assert got.letters == apply_letter_by_letter(f, word)
+            out, consumed = (), False
+            for letter in word.letters:
+                block = apply_letter_by_letter(f, Word(src, (letter,)))
+                joined = _reduce(out + block)
+                cancelled = (len(out) + len(block) - len(joined)) // 2
+                shapes["several letters cancel"] += cancelled >= 2
+                shapes["cancels past a whole block"] += consumed and cancelled > 0
+                consumed = len(block) > 0 and cancelled == len(block)
+                shapes["a whole block cancels"] += consumed
+                out = joined
+            shapes["no cancellation"] += len(got) == sum(
+                len(f.images[idx - 1]) for idx, _ in word.letters)
+        assert min(shapes.values()) >= 200
+
+    def test_whole_blocks_cancel_at_a_junction(self):
+        # a -> a b, b -> b^-1, x3 -> a^-1: b's block cancels whole, then
+        # x3's cancels into a's
+        f = FreeHom.from_strings(3, 2, ["a b", "b^-1", "a^-1"])
+        assert f(parse_word("a b x3", 3)) == Word.identity(2)
+        assert f(parse_word("a b b x3", 3)) == w("a b^-1 a^-1")
+        # a -> x y, b -> y^-1 x^-1: the images are inverses of each other
+        g = FreeHom.from_strings(2, 2, ["a b", "b^-1 a^-1"])
+        assert g(w("a b a b")) == Word.identity(2)
+        assert g(w("a^3 b^2")) == w("a b")  # two whole blocks cancel
+        assert g(w("b^-1 a^-2 b^3")) == w("a b a b") ** -2
+
+    def test_inverse_images_are_not_part_of_the_value(self):
+        # the inverse images a call builds are kept on the hom for later
+        # calls, but equality, hashing and repr see only the images
+        f = FreeHom.from_strings(2, 2, ["a b", "b a^-1"])
+        fresh = FreeHom.from_strings(2, 2, ["a b", "b a^-1"])
+        assert f(w("a^-1 b^-1 a^-1")) == w("b^-3 a^-1")  # (b^-1 a^-1)(a b^-1)(b^-1 a^-1)
+        assert f(w("b^-1 a")) == w("a b^-1 a b")
+        assert f == fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
 
     def test_compose_with_identity(self):
         f = lam().fwd
