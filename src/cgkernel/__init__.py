@@ -28,7 +28,7 @@ from .fpgroups import (CosetLimitExceeded, CosetTable, NotMember, Presentation,
                        coset_table_from_quotient, format_presentation,
                        parse_presentation, pure_braid3_mod_center_presentation,
                        pure_braid3_presentation, reidemeister_schreier,
-                       sl2z_presentation, todd_coxeter)
+                       sl2z_presentation, subgroup_abelianization, todd_coxeter)
 from .subgroups import NotStabilized, expand, from_quotient, restrict_hom
 from .checks import (CHECK_IDS, CheckResult, Config, UnknownCheck, run_all,
                      run_check)

@@ -5,9 +5,10 @@ JSON-serializable evidence, bound to a stable public id.  Table-driven checks
 accept their expected-value table as an argument so the test suite can corrupt
 a row and confirm the comparator actually bites.
 
-Most checks give their evidence in one of three shapes, each built by one
+Most checks give their evidence in one of four shapes, each built by one
 helper: named verdicts that must all hold (`_verdicts`), named matrices
-against tabulated rows (`_matrices`), and a subgroup index (`_index`).
+against tabulated rows (`_matrices`), a subgroup index (`_index`), and the
+index and abelianization of a finite quotient's kernel (`_kernel`).
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .fpgroups import (CosetLimitExceeded, CosetTable, Presentation,
                        abelianization, braid_mod_center_presentation,
                        coset_table_from_quotient,
                        pure_braid3_mod_center_presentation,
-                       pure_braid3_presentation, reidemeister_schreier,
-                       sl2z_presentation, todd_coxeter)
+                       pure_braid3_presentation, sl2z_presentation,
+                       subgroup_abelianization, todd_coxeter)
 from .perms import (DEFAULT_MAX_COSETS, Permutation, closure, is_normal,
                     parse_cycles, quotient_map_s4_to_s3)
 from .subgroups import from_quotient, restrict_hom
@@ -83,7 +84,7 @@ def _ab(a: AbelianStructure) -> dict:
     return {"free_rank": a.free_rank, "torsion": list(a.torsion)}
 
 
-# --- the three evidence shapes -------------------------------------------------
+# --- the four evidence shapes --------------------------------------------------
 
 
 def _verdicts(verdicts: dict[str, bool]):
@@ -106,6 +107,13 @@ def _index(pres: Presentation, subgens, want: int, cfg: Config):
     """The index of the subgroup generated by ``subgens``, by Todd-Coxeter."""
     ct = todd_coxeter(pres, subgens, cfg.max_cosets)
     return ct.index == want, {"index": want}, {"index": ct.index}
+
+
+def _kernel(key: str, index: int, want: AbelianStructure, got: tuple[int, AbelianStructure]):
+    """A kernel's index, under ``key``, and its abelianization: ``got`` as
+    `_kernel_abelianization` gives them, against ``index`` and ``want``."""
+    return got == (index, want), {key: index, "abelianization": _ab(want)}, \
+        {key: got[0], "abelianization": _ab(got[1])}
 
 
 # --- expected-value tables ---------------------------------------------------
@@ -245,7 +253,7 @@ def _kernel_abelianization(pres: Presentation, images: tuple[Permutation, ...],
                            max_cosets: int) -> tuple[int, AbelianStructure]:
     """Index and abelianization of the kernel of the quotient pres -> <images>."""
     ct = coset_table_from_quotient(pres, images, max_cosets)
-    return ct.index, abelianization(reidemeister_schreier(ct))
+    return ct.index, subgroup_abelianization(ct)
 
 
 # braid words mapping onto the standard SL(2,Z) generators under the
@@ -383,11 +391,7 @@ def _k4_abelianization(max_cosets: int) -> tuple[int, AbelianStructure]:
 
 
 def _chk_gamma2_ab(cfg: Config):
-    index, ab = _gamma2_abelianization(cfg.max_cosets)
-    want = AbelianStructure(2, (2,))
-    return (index == 6 and ab == want), \
-        {"index": 6, "abelianization": _ab(want)}, \
-        {"index": index, "abelianization": _ab(ab)}
+    return _kernel("index", 6, AbelianStructure(2, (2,)), _gamma2_abelianization(cfg.max_cosets))
 
 
 def _chk_gamma2_b1(cfg: Config):
@@ -423,11 +427,7 @@ def _chk_h_invariants(cfg: Config):
 
 
 def _chk_k4_b1(cfg: Config):
-    index, ab = _k4_abelianization(cfg.max_cosets)
-    want = AbelianStructure(5, ())
-    return (index == 24 and ab == want), \
-        {"cosets": 24, "abelianization": _ab(want)}, \
-        {"cosets": index, "abelianization": _ab(ab)}
+    return _kernel("cosets", 24, AbelianStructure(5, ()), _k4_abelianization(cfg.max_cosets))
 
 
 def _chk_k4_excessive(cfg: Config):
@@ -440,13 +440,10 @@ def _chk_k4_excessive(cfg: Config):
 
 def _chk_gammaplus_ab(cfg: Config):
     q = quotient_map_s4_to_s3()
-    index, ab = _kernel_abelianization(braid_mod_center_presentation(4),
-                                       tuple(q(t) for t in strand_transpositions()),
-                                       cfg.max_cosets)
-    want = AbelianStructure(2, (2, 2, 2))
-    return (index == 6 and ab == want), \
-        {"cosets": 6, "abelianization": _ab(want)}, \
-        {"cosets": index, "abelianization": _ab(ab)}
+    return _kernel("cosets", 6, AbelianStructure(2, (2, 2, 2)),
+                   _kernel_abelianization(braid_mod_center_presentation(4),
+                                          tuple(q(t) for t in strand_transpositions()),
+                                          cfg.max_cosets))
 
 
 def _chk_gammaplus_index3(cfg: Config):

@@ -14,8 +14,8 @@ import sys
 
 from .braids import braid_equal, braid_perm, format_braid, normal_form, parse_braid
 from .checks import CHECK_IDS, Config, UnknownCheck, run_all
-from .fpgroups import (CosetLimitExceeded, abelianization, parse_presentation,
-                       reidemeister_schreier, rewrite_in_subgroup, todd_coxeter)
+from .fpgroups import (CosetLimitExceeded, parse_presentation, rewrite_in_subgroup,
+                       subgroup_abelianization, todd_coxeter)
 from .intlin import format_matrix, format_st, parse_matrix, sl2_word, smith_normal_form
 from .perms import DEFAULT_MAX_COSETS, format_cycles, parse_cycles
 from .subgroups import from_quotient
@@ -145,7 +145,7 @@ def _cmd_tc(args) -> int:
     ct = todd_coxeter(pres, subgens, _max_cosets(args.max_cosets))
     print(f"index: {ct.index}")
     if args.ab:
-        print(f"abelianization: {abelianization(reidemeister_schreier(ct))}")
+        print(f"abelianization: {subgroup_abelianization(ct)}")
     return 0
 
 

@@ -16,6 +16,11 @@ subgroup has exactly one such table, so `todd_coxeter` and
 tables, Schreier generators, and rewritten presentations are reproducible
 run to run.  A free group is a presentation without relators, so the same
 table is the Schreier coset graph of a finite-index subgroup of a free group.
+
+One walk, `_walk`, reads a word from a coset over the Schreier tree's edge
+labels.  Rewriting subgroup words, Reidemeister-Schreier and
+`subgroup_abelianization` are views of it; the last streams each walk's
+exponent sums to `sparse_cokernel` and builds no `Word` or `Presentation`.
 """
 
 from __future__ import annotations
@@ -23,12 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .intlin import AbelianStructure, sparse_cokernel
 from .perms import (DEFAULT_MAX_COSETS, CosetLimitExceeded, Permutation, orbit,
                     regular_orbit)
-from .words import Word, default_names, format_word, parse_word
+from .words import FreeHom, Word, default_names, format_word, parse_word
 
 
 class RelatorViolated(ValueError):
@@ -53,6 +58,8 @@ class Presentation:
         names = self.names or default_names(self.ngens)
         if len(names) != self.ngens:
             raise ValueError("one name per generator")
+        if len(set(names)) != self.ngens:
+            raise ValueError("duplicate generator name")
         object.__setattr__(self, "names", tuple(names))
         normalized = []
         for r in self.relators:
@@ -98,22 +105,26 @@ def format_presentation(pres: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _exponent_rows(words: Iterable[Iterable[tuple[int, int]]]) -> Iterator[dict[int, int]]:
+    # each word's exponent sums, as a sparse row {generator - 1: sum}, made
+    # as the word is read; a word whose sums all vanish gives no row
+    for letters in words:
+        row: dict[int, int] = {}
+        for g, s in letters:
+            row[g - 1] = row.get(g - 1, 0) + s
+        if not all(row.values()):
+            row = {j: x for j, x in row.items() if x}
+        if row:
+            yield row
+
+
 def abelianization(pres: Presentation) -> AbelianStructure:
     """Cokernel of the relator exponent matrix.  Each relator's exponent
     sums are added up straight into a sparse row {generator - 1: sum}, and
     `sparse_cokernel` takes the rows one at a time, in relator order, as
     they are made; a relator whose sums all vanish gives no row, and no
     dense row or matrix is built."""
-    def rows() -> Iterator[dict[int, int]]:
-        for r in pres.relators:
-            row: dict[int, int] = {}
-            for g, s in r.letters:
-                row[g - 1] = row.get(g - 1, 0) + s
-            if not all(row.values()):
-                row = {j: x for j, x in row.items() if x}
-            if row:
-                yield row
-    return sparse_cokernel(rows(), pres.ngens)
+    return sparse_cokernel(_exponent_rows(r.letters for r in pres.relators), pres.ngens)
 
 
 def _cols(w: Word) -> tuple[int, ...]:
@@ -135,8 +146,8 @@ class SchreierTree:
 @dataclass(frozen=True)
 class CosetTable:
     """Complete coset table over a finitely presented group, column-major:
-    ``columns[x][c]`` is coset c times column x.  Its Schreier tree and
-    basis are built once, on first use."""
+    ``columns[x][c]`` is coset c times column x.  Its Schreier tree, basis
+    and basis hom are built once, on first use."""
 
     presentation: Presentation
     subgroup_gens: tuple[Word, ...]
@@ -171,6 +182,12 @@ class CosetTable:
         return tuple(
             Word._reduced(ngens, reps[c] + ((g + 1, 1),) + inverses[columns[2 * g][c]])
             for c in range(self.index) for g in range(ngens) if tree.labels[c][g])
+
+    @cached_property
+    def basis_hom(self) -> FreeHom:
+        """The map sending Schreier generator k to ``basis[k - 1]``: it
+        expands a word over the basis letters into the ambient word."""
+        return FreeHom(len(self.basis), self.presentation.ngens, self.basis)
 
     def trace(self, coset: int, w: Word) -> int:
         _check_rank(self, w)
@@ -501,14 +518,16 @@ def _check_rank(ct: CosetTable, w: Word) -> None:
                          f"table has {ct.presentation.ngens} generators")
 
 
-def _rewrite_from(ct: CosetTable, start: int, w: Word) -> tuple[Word, int]:
-    # w read from coset start over the Schreier generators, and its end coset.
-    # The result is reduced because w is: two adjacent Schreier letters k^s,
-    # k^-s cross the off-tree edge of k one way and then back, so the letters
-    # of w between them walk the tree from the coset where the first crossing
-    # ends to the same coset, where the second starts.  A reduced walk in a
-    # tree never returns to where it started, so that walk is empty, and the
-    # two letters of w that cross the edge would be adjacent inverses.
+def _walk(ct: CosetTable, start: int, w: Word) -> tuple[list[tuple[int, int]], int]:
+    # The one reading of a word over the tree labels: w read from coset
+    # start as Schreier letters (label, sign), and its end coset.  The
+    # letters are freely reduced because w is: two adjacent Schreier letters
+    # k^s, k^-s cross the off-tree edge of k one way and then back, so the
+    # letters of w between them walk the tree from the coset where the first
+    # crossing ends to the same coset, where the second starts.  A reduced
+    # walk in a tree never returns to where it started, so that walk is
+    # empty, and the two letters of w that cross the edge would be adjacent
+    # inverses.
     _check_rank(ct, w)
     columns, labels = ct.columns, ct.tree.labels
     letters = []
@@ -522,29 +541,38 @@ def _rewrite_from(ct: CosetTable, start: int, w: Word) -> tuple[Word, int]:
             k = labels[c][i - 1]
         if k:
             letters.append((k, s))
-    return Word._reduced(ct.tree.nsub, tuple(letters)), c
+    return letters, c
+
+
+def _relator_walks(ct: CosetTable) -> Iterator[list[tuple[int, int]]]:
+    # each relator read from each coset, in (coset, relator) order
+    return (_walk(ct, c, r)[0] for c in range(ct.index) for r in ct.presentation.relators)
 
 
 def reidemeister_schreier(ct: CosetTable) -> Presentation:
     """Presentation of the subgroup on its Schreier generators: one generator
     per non-tree edge, one relator per (coset, ambient relator) pair.  Tree
     generators are eliminated; no further simplification is attempted."""
-    relators = []
-    for c in range(ct.index):
-        for r in ct.presentation.relators:
-            rewritten, _ = _rewrite_from(ct, c, r)
-            if not rewritten.is_identity():
-                relators.append(rewritten)
-    return Presentation(ct.tree.nsub, tuple(relators))
+    nsub = ct.tree.nsub
+    return Presentation(nsub, tuple(Word._reduced(nsub, tuple(letters))
+                                    for letters in _relator_walks(ct) if letters))
+
+
+def subgroup_abelianization(ct: CosetTable) -> AbelianStructure:
+    """Abelianization of the table's subgroup, equal to
+    ``abelianization(reidemeister_schreier(ct))``: each (coset, relator)
+    walk is summed into its row as it is made, and `sparse_cokernel` takes
+    the rows in that order, so no `Word` and no `Presentation` is built."""
+    return sparse_cokernel(_exponent_rows(_relator_walks(ct)), ct.tree.nsub)
 
 
 def rewrite_in_subgroup(ct: CosetTable, w: Word) -> Word:
     """Rewrite a word lying in the subgroup over the Schreier generators;
     expanding the result recovers the input exactly."""
-    rewritten, end = _rewrite_from(ct, 0, w)
+    letters, end = _walk(ct, 0, w)
     if end != 0:
         raise NotMember("word does not return to the base state")
-    return rewritten
+    return Word._reduced(ct.tree.nsub, tuple(letters))
 
 
 # --- stock presentations ------------------------------------------------------

@@ -30,7 +30,7 @@ def from_quotient(rank: int, images: Sequence[Permutation],
 
 def expand(ct: CosetTable, w: Word) -> Word:
     """Substitute basis words back into a word over the basis letters."""
-    return FreeHom(len(ct.basis), ct.presentation.ngens, ct.basis)(w)
+    return ct.basis_hom(w)
 
 
 def restrict_hom(ct: CosetTable, f: Aut) -> FreeHom:

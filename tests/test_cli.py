@@ -24,6 +24,17 @@ def sl2_file(tmp_path):
     return str(path)
 
 
+def symmetric_coxeter_file(tmp_path, n):
+    """A file holding the Coxeter presentation of S_n on s1..s(n-1)."""
+    path = tmp_path / f"s{n}.pres"
+    rels = [f"s{i} s{i}" for i in range(1, n)]
+    rels += [f"s{i} s{j} " * (3 if j == i + 1 else 2)
+             for i in range(1, n) for j in range(i + 1, n)]
+    path.write_text("gens: " + " ".join(f"s{i}" for i in range(1, n)) + "\n"
+                    + "".join(f"rel: {r}\n" for r in rels), encoding="utf-8")
+    return str(path)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -199,16 +210,16 @@ class TestCosetEnumeration:
 
     def test_limit_bounds_rows_held(self, capsys, tmp_path):
         # the Coxeter presentation of S_7, whose enumeration needs 5040 rows
-        path = tmp_path / "s7.pres"
-        rels = [f"s{i} s{i}" for i in range(1, 7)]
-        rels += [f"s{i} s{j} " * (3 if j == i + 1 else 2)
-                 for i in range(1, 7) for j in range(i + 1, 7)]
-        path.write_text("gens: s1 s2 s3 s4 s5 s6\n"
-                        + "".join(f"rel: {r}\n" for r in rels), encoding="utf-8")
-        code, out, _ = run_cli(capsys, "tc", str(path), "", "--max-cosets", "5040")
+        path = symmetric_coxeter_file(tmp_path, 7)
+        code, out, _ = run_cli(capsys, "tc", path, "", "--max-cosets", "5040")
         assert code == 0 and "index: 5040" in out
-        code, _, err = run_cli(capsys, "tc", str(path), "", "--max-cosets", "5039")
+        code, _, err = run_cli(capsys, "tc", path, "", "--max-cosets", "5039")
         assert code == 3 and "exceeded" in err
+
+    def test_abelianization_of_the_regular_kernel_of_s6(self, capsys, tmp_path):
+        # the trivial subgroup of S_6: index 720, a 10800 x 2881 relation matrix
+        code, out, _ = run_cli(capsys, "tc", symmetric_coxeter_file(tmp_path, 6), "", "--ab")
+        assert code == 0 and out == "index: 720\nabelianization: 0\n"
 
     def test_empty_relator_and_trivial_subgroup(self, capsys, tmp_path):
         # A_4 = <a, b | a^2, b^3, (ab)^3>, with the empty relator 1 as well
@@ -226,7 +237,8 @@ class TestCosetEnumeration:
         ("gens: a b\ngens: a b\nrel: a^2\n", "duplicate gens line"),
         ("gens:\nrel: 1\n", "empty generator list"),
         ("gens: a b\nfoo: a b\n", "unrecognized line 'foo: a b'"),
-    ], ids=["duplicate_gens", "empty_gens", "unknown_line"])
+        ("gens: a a\nrel: a\n", "duplicate generator name"),
+    ], ids=["duplicate_gens", "empty_gens", "unknown_line", "duplicate_name"])
     def test_malformed_presentation_is_usage_error(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.pres"
         path.write_text(text, encoding="utf-8")

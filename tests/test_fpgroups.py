@@ -1,11 +1,16 @@
 """Coset enumeration, quotient tables, Reidemeister-Schreier, abelianization."""
 
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cgkernel
 from cgkernel import fpgroups, intlin
 from cgkernel.fpgroups import (CosetLimitExceeded, CosetTable, Presentation, RelatorViolated,
                                abelianization, braid_mod_center_presentation,
@@ -13,7 +18,8 @@ from cgkernel.fpgroups import (CosetLimitExceeded, CosetTable, Presentation, Rel
                                format_presentation, parse_presentation,
                                pure_braid3_mod_center_presentation,
                                pure_braid3_presentation, reidemeister_schreier,
-                               rewrite_in_subgroup, sl2z_presentation, todd_coxeter)
+                               rewrite_in_subgroup, sl2z_presentation,
+                               subgroup_abelianization, todd_coxeter)
 from cgkernel.intlin import AbelianStructure, IntMatrix, cokernel
 from cgkernel.perms import Permutation, orbit, parse_cycles, quotient_map_s4_to_s3
 from cgkernel.subgroups import from_quotient
@@ -50,6 +56,12 @@ def pure_braid_table(n):
     """Coset table of P_n = ker(B_n -> S_n), s_i -> (i, i+1), acting on S_n."""
     return coset_table_from_quotient(
         braid_presentation(n), [Permutation.transposition(n, i, i + 1) for i in range(1, n)])
+
+
+def regular_table(n):
+    """Coset table of the regular kernel of S_n's Coxeter presentation."""
+    return coset_table_from_quotient(
+        symmetric_coxeter(n), [Permutation.transposition(n, i, i + 1) for i in range(1, n)])
 
 
 def coset_action_table(images, sub_images):
@@ -681,8 +693,7 @@ def trusted_word_tables():
     for n in (2, 3, 4):
         yield coset_table_from_quotient(sl2, sl2_mod_images(n))
     for n in (4, 5):
-        yield coset_table_from_quotient(
-            symmetric_coxeter(n), [Permutation.transposition(n, i, i + 1) for i in range(1, n)])
+        yield regular_table(n)
     rng = random.Random(14)
     for rank, degree in ((2, 4), (2, 5), (3, 4), (3, 5)):
         images = []
@@ -695,27 +706,109 @@ def trusted_word_tables():
 
 class TestTrustedWords:
     def test_trusted_words_are_reduced(self):
-        # representatives, Schreier generators and rewritten words skip
-        # Word's reduction and checks; each must equal the checked word
+        # representatives, Schreier generators and the walk's Schreier
+        # letters skip Word's reduction and checks; each must equal the
+        # checked word
         def checked(w):
             return type(w) is Word and w == Word(w.rank, w.letters)
 
         rng = random.Random(15)
         for ct in trusted_word_tables():
-            ngens = ct.presentation.ngens
+            ngens, nsub = ct.presentation.ngens, ct.tree.nsub
             assert all(checked(r) for r in ct.tree.reps)
             assert all(checked(g) for g in ct.basis)
             for c in range(ct.index):
                 for r in ct.presentation.relators:
-                    w, end = fpgroups._rewrite_from(ct, c, r)
-                    assert checked(w) and end == c and w.rank == ct.tree.nsub
+                    letters, end = fpgroups._walk(ct, c, r)
+                    assert Word(nsub, letters).letters == tuple(letters) and end == c
             for _ in range(200):
                 w = Word(ngens, [(rng.randint(1, ngens), rng.choice((1, -1)))
                                  for _ in range(rng.randint(0, 12))])
-                rewritten, _ = fpgroups._rewrite_from(ct, rng.randrange(ct.index), w)
-                assert checked(rewritten)
+                letters, _ = fpgroups._walk(ct, rng.randrange(ct.index), w)
+                assert Word(nsub, letters).letters == tuple(letters)
             for g in ct.basis:  # a basis word rewrites to its own single letter
-                assert len(rewrite_in_subgroup(ct, g)) == 1
+                rewritten = rewrite_in_subgroup(ct, g)
+                assert checked(rewritten) and len(rewritten) == 1
+
+
+def random_quotient(rng):
+    """The coset table of the kernel of a random quotient: 2 or 3 random
+    permutations of degree 4-6, and 1-4 relators, each a random word raised
+    to the order of its image."""
+    degree, rank = rng.randint(4, 6), rng.randint(2, 3)
+    images = [Permutation(rng.sample(range(1, degree + 1), degree)) for _ in range(rank)]
+    relators = []
+    for _ in range(rng.randint(1, 4)):
+        w = Word(rank, [(rng.randint(1, rank), rng.choice((1, -1)))
+                        for _ in range(rng.randint(1, 6))])
+        relators.append(w ** math.lcm(*map(len, image_of(images, w).cycles())))
+    return coset_table_from_quotient(Presentation(rank, tuple(relators)), images)
+
+
+# Gamma(2)-Gamma(7), K_4, Gamma+, P_4-P_6 and the regular kernels of S_5, S_6
+QUOTIENT_TABLES = {
+    **{f"gamma{n}": (lambda n=n: coset_table_from_quotient(sl2z_presentation(),
+                                                           sl2_mod_images(n)))
+       for n in range(2, 8)},
+    "k4": lambda: coset_table_from_quotient(braid_mod_center_presentation(4), transpositions()),
+    "gammaplus": lambda: coset_table_from_quotient(
+        braid_mod_center_presentation(4), [quotient_map_s4_to_s3()(t) for t in transpositions()]),
+    **{f"p{n}": (lambda n=n: pure_braid_table(n)) for n in (4, 5, 6)},
+    **{f"s{n}_regular": (lambda n=n: regular_table(n)) for n in (5, 6)},
+}
+
+
+class TestSubgroupAbelianization:
+    @pytest.mark.parametrize("name", list(QUOTIENT_TABLES))
+    def test_matches_the_reidemeister_schreier_presentation(self, name):
+        ct = QUOTIENT_TABLES[name]()
+        assert subgroup_abelianization(ct) == abelianization(reidemeister_schreier(ct))
+
+    def test_matches_on_random_quotients(self):
+        rng = random.Random(25)
+        indexes = set()
+        for _ in range(24):
+            ct = random_quotient(rng)
+            indexes.add(ct.index)
+            assert subgroup_abelianization(ct) == abelianization(reidemeister_schreier(ct))
+        assert len(indexes) >= 8  # the draws are not one group over and over
+
+    @pytest.mark.slow
+    def test_matches_where_unit_pivots_leave_a_dense_remainder(self):
+        # seed 24's first draw, of index 720: sparse_cokernel's unit pivots
+        # leave a dense 338 x 722 matrix, with entries up to 1.4e7, to the
+        # Smith loop, which takes over 30 s on each side
+        ct = random_quotient(random.Random(24))
+        assert ct.index == 720
+        assert subgroup_abelianization(ct) == abelianization(reidemeister_schreier(ct)) \
+            == AbelianStructure(662)
+
+
+# run in a child process, so that its maximum RSS is that of one table and
+# its abelianization
+SCALE_CHILD = """
+import resource, sys
+from cgkernel.fpgroups import coset_table_from_quotient, parse_presentation, subgroup_abelianization
+from cgkernel.perms import Permutation
+ct = coset_table_from_quotient(parse_presentation(sys.stdin.read()),
+                               [Permutation.transposition(8, i, i + 1) for i in range(1, 8)])
+print(ct.index, subgroup_abelianization(ct), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("pres, want", [
+    (braid_presentation(8), "Z^28"),  # P_8, free abelian on the 28 twists A_ij
+    (symmetric_coxeter(8), "0"),      # the regular kernel of S_8
+], ids=["p8", "s8_regular"])
+def test_index_40320_kernels_in_under_150_mb(pres, want):
+    env = {**os.environ, "PYTHONPATH": str(Path(cgkernel.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", SCALE_CHILD], input=format_presentation(pres),
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    index, ab, maxrss_kb = proc.stdout.split()
+    assert (index, ab) == ("40320", want)
+    assert int(maxrss_kb) < 150 * 1024
 
 
 class TestPresentationIO:
@@ -732,6 +825,13 @@ class TestPresentationIO:
     def test_missing_gens_line(self):
         with pytest.raises(ValueError):
             parse_presentation("rel: a a\n")
+
+    def test_duplicate_generator_names(self):
+        # "gens: a a" would name generator 2 by a, leaving generator 1 free
+        with pytest.raises(ValueError, match="duplicate generator name"):
+            parse_presentation("gens: a a\nrel: a\n")
+        with pytest.raises(ValueError, match="duplicate generator name"):
+            Presentation(3, (), ("a", "b", "a"))
 
     def test_braid_presentation_shape(self):
         pres = braid_presentation(4)

@@ -16,10 +16,10 @@ from cgkernel.checks import sl2z2_images, strand_transpositions
 from cgkernel.fpgroups import (abelianization, braid_mod_center_presentation,
                                coset_table_from_quotient, reidemeister_schreier,
                                sl2z_presentation)
-from cgkernel.perms import Permutation, quotient_map_s4_to_s3
+from cgkernel.perms import quotient_map_s4_to_s3
 from cgkernel.words import Word
 
-from test_fpgroups import pure_braid_table, sl2_mod_images, symmetric_coxeter
+from test_fpgroups import pure_braid_table, regular_table, sl2_mod_images
 
 # homology actions of the four parity-stabilizer automorphisms restricted to
 # the index-2 kernel, in the Schreier basis (a, b a b^-1, b^2); frozen from an
@@ -166,12 +166,6 @@ class TestCokernel:
             factors = tuple(dk[k] // dk[k - 1] for k in range(1, rank + 1))
             assert rank_q(a) == rank
             assert cokernel(a) == AbelianStructure(cols - rank, tuple(f for f in factors if f > 1))
-
-
-def regular_table(n):
-    """Coset table of the regular kernel of S_n's Coxeter presentation."""
-    return coset_table_from_quotient(
-        symmetric_coxeter(n), [Permutation.transposition(n, i, i + 1) for i in range(1, n)])
 
 
 def snf_structure(a):

@@ -8,7 +8,7 @@ from cgkernel.intlin import hom_matrix
 from cgkernel.perms import Permutation, parse_cycles
 from cgkernel.fpgroups import NotMember, rewrite_in_subgroup
 from cgkernel.subgroups import NotStabilized, expand, from_quotient, restrict_hom
-from cgkernel.words import Word, compose, parse_word, transvection
+from cgkernel.words import FreeHom, Word, compose, parse_word, transvection
 
 from test_intlin import RESTRICTED_STABILIZER_MATS
 
@@ -82,6 +82,24 @@ def test_rewrite_round_trip_random_members():
                 g = aut.basis[rng.randrange(nbasis)]
                 member = member * (g if rng.random() < 0.5 else g.inverse())
             assert expand(aut, rewrite_in_subgroup(aut, member)) == member
+
+
+def test_expand_builds_one_hom_per_table(monkeypatch):
+    # the basis hom, with its rank check over every basis word, is built on
+    # the first expansion only; later ones reuse it and its inverse images
+    built = []
+    post_init = FreeHom.__post_init__
+    monkeypatch.setattr(FreeHom, "__post_init__", lambda hom: (built.append(hom), post_init(hom)))
+    aut = from_quotient(2, [parse_cycles("(1,2,3,4,5)", 5), parse_cycles("(1,2)", 5)])
+    rng = random.Random(3)
+    for _ in range(100):
+        member = Word.identity(2)
+        for _ in range(rng.randint(0, 6)):
+            g = aut.basis[rng.randrange(len(aut.basis))]
+            member = member * (g if rng.random() < 0.5 else g.inverse())
+        rewritten = rewrite_in_subgroup(aut, member)
+        assert expand(aut, rewritten) == expand(aut, rewritten) == member
+    assert len(built) == 1 and built[0] is aut.basis_hom
 
 
 def test_rewrite_rejects_non_member():
