@@ -1,9 +1,10 @@
 """Named verification registry.
 
 Each check is a pure function returning (passed, expected, actual) with
-JSON-serializable evidence, bound to a stable public id.  Table-driven checks
-accept their expected-value table as an argument so the test suite can corrupt
-a row and confirm the comparator actually bites.
+JSON-serializable evidence, registered under a stable public id and its paper
+anchor by `_check` where it is defined.  Table-driven checks take their
+expected-value table as a default argument, so the test suite can pass a
+corrupted one and confirm the comparator actually bites.
 
 Most checks give their evidence in one of four shapes, each built by one
 helper: named verdicts that must all hold (`_verdicts`), named matrices
@@ -315,10 +316,25 @@ def random_semidirect_element(rng: random.Random, n: int) -> SemidirectElement:
 # --- the checks ---------------------------------------------------------------
 
 
-def _chk_sigma_actions(cfg: Config, table=None):
+REGISTRY: dict[str, tuple[str, Callable]] = {}
+
+
+def _check(check_id: str, anchor: str):
+    """Register the decorated function as check ``check_id``, stating the
+    paper's claim ``anchor``; registry order is definition order."""
+    def register(func: Callable) -> Callable:
+        if check_id in REGISTRY:
+            raise ValueError(f"check id {check_id!r} is already registered")
+        REGISTRY[check_id] = (anchor, func)
+        return func
+    return register
+
+
+@_check("appendix.sigma_actions",
+        "conjugation of the braid generators on the normal rank-2 free subgroup of B_4")
+def _chk_sigma_actions(cfg: Config, table=braids.SIGMA_ACTION_TABLE):
     """12 rows: both generator images for each of the six braid letters,
     checked against actual conjugation in B_4."""
-    table = braids.SIGMA_ACTION_TABLE if table is None else table
     rows = {}
     for (i, sign), row in sorted(table.items()):
         f = FreeHom.from_strings(2, 2, row)
@@ -330,8 +346,9 @@ def _chk_sigma_actions(cfg: Config, table=None):
     return _verdicts(rows)
 
 
-def _chk_apq_actions(cfg: Config, table=None):
-    table = APQ_ACTION_TABLE if table is None else table
+@_check("appendix.apq_actions",
+        "conjugation of the six pure-braid twist generators on the normal rank-2 subgroup")
+def _chk_apq_actions(cfg: Config, table=APQ_ACTION_TABLE):
     expected, actual = {}, {}
     ok = True
     for (p, q), row in sorted(table.items()):
@@ -342,26 +359,30 @@ def _chk_apq_actions(cfg: Config, table=None):
     return ok, expected, actual
 
 
-def _chk_apq_matrices(cfg: Config, table=None):
-    table = APQ_MATRIX_TABLE if table is None else table
+@_check("appendix.apq_matrices", "homology matrices in SL(2,Z) of the twist-generator actions")
+def _chk_apq_matrices(cfg: Config, table=APQ_MATRIX_TABLE):
     return _matrices((f"A{p}{q}", rows, hom_matrix(braid_action(pure_gen(p, q, 4))))
                      for (p, q), rows in sorted(table.items()))
 
 
-def _chk_st_words(cfg: Config, table=None):
-    table = ST_WORD_TABLE if table is None else table
+@_check("appendix.st_words",
+        "S/T-word expressions for the twist matrices, including A24 = T^2 and A12 = (TST)^-2")
+def _chk_st_words(cfg: Config, table=ST_WORD_TABLE):
     return _matrices((label, rows, eval_st(parse_st(st_text)))
                      for label, (st_text, rows) in sorted(table.items()))
 
 
+@_check("braid.center_trivial_action",
+        "the center of B_4 acts trivially on the normal rank-2 subgroup")
 def _chk_center_trivial(cfg: Config):
     act = braid_action(delta_word(4) ** 2)
     return act.is_identity(), "identity action", \
         {"a": format_word(act.images[0]), "b": format_word(act.images[1])}
 
 
-def _chk_xi_images(cfg: Config, table=None):
-    table = XI_IMAGE_TABLE if table is None else table
+@_check("perm.xi_images",
+        "strand permutations of the rank-2 subgroup generators generate the normal Klein subgroup of S_4")
+def _chk_xi_images(cfg: Config, table=XI_IMAGE_TABLE):
     a, b = f2_word()
     got = {"a": perms.format_cycles(braid_perm(a)), "b": perms.format_cycles(braid_perm(b))}
     klein = closure([braid_perm(a), braid_perm(b)])
@@ -371,11 +392,14 @@ def _chk_xi_images(cfg: Config, table=None):
     return ok, {**dict(table), "order": 4, "normal_in_S4": True}, {**got, **facts}
 
 
+@_check("sl2.S_index3",
+        "homology images of the four parity-stabilizer automorphisms generate an index-3 subgroup of SL(2,Z)")
 def _chk_s_index3(cfg: Config):
     gens = [sl2_word(hom_matrix(g.fwd)) for g in parity_stabilizer_generators()]
     return _index(sl2z_presentation(), gens, 3, cfg)
 
 
+@_check("sl2.sanov_index12", "the Sanov subgroup <T^2, (TST)^2> has index 12 in SL(2,Z)")
 def _chk_sanov_index12(cfg: Config):
     pres = sl2z_presentation()
     return _index(pres, [pres.word("t t"), pres.word("t s t t s t")], 12, cfg)
@@ -390,15 +414,19 @@ def _k4_abelianization(max_cosets: int) -> tuple[int, AbelianStructure]:
                                   strand_transpositions(), max_cosets)
 
 
+@_check("sl2.gamma2_ab", "the level-2 congruence subgroup (index 6) abelianizes to Z^2 + Z/2")
 def _chk_gamma2_ab(cfg: Config):
     return _kernel("index", 6, AbelianStructure(2, (2,)), _gamma2_abelianization(cfg.max_cosets))
 
 
+@_check("sl2.gamma2_b1", "first Betti number of the level-2 congruence subgroup is 2")
 def _chk_gamma2_b1(cfg: Config):
     _, ab = _gamma2_abelianization(cfg.max_cosets)
     return ab.free_rank == 2, {"b1": 2}, {"b1": ab.free_rank}
 
 
+@_check("stab.fourgen_in_stabH",
+        "the four parity-stabilizer automorphisms and inverses preserve the parity kernel")
 def _chk_fourgen_in_stab(cfg: Config):
     sub = parity_subgroup(cfg.max_cosets)
     verdicts = {}
@@ -412,6 +440,8 @@ def _chk_fourgen_in_stab(cfg: Config):
     return _verdicts(verdicts)
 
 
+@_check("homology.H_coinvariants_rank1",
+        "coinvariants of the parity kernel's homology under the restricted actions have rank one")
 def _chk_h_coinvariants(cfg: Config):
     mats = restricted_stabilizer_matrices(cfg.max_cosets)
     structure = coinvariants(mats, 3)
@@ -420,16 +450,20 @@ def _chk_h_coinvariants(cfg: Config):
         {"structure": _ab(structure), "matrices": [_mat(m) for m in mats]}
 
 
+@_check("homology.H_invariants_rank1",
+        "the common fixed space of the restricted actions has dimension one")
 def _chk_h_invariants(cfg: Config):
     mats = restricted_stabilizer_matrices(cfg.max_cosets)
     rank = invariants_rank(mats)
     return rank == 1, {"invariants_rank": 1}, {"invariants_rank": rank}
 
 
+@_check("k4.b1_5", "the central quotient of the 4-strand pure braid group has first Betti number 5")
 def _chk_k4_b1(cfg: Config):
     return _kernel("cosets", 24, AbelianStructure(5, ()), _k4_abelianization(cfg.max_cosets))
 
 
+@_check("k4.excessive", "fiber-side first Betti number exceeds the base: 5 > 2")
 def _chk_k4_excessive(cfg: Config):
     _, k4_ab = _k4_abelianization(cfg.max_cosets)
     _, g2_ab = _gamma2_abelianization(cfg.max_cosets)
@@ -438,6 +472,8 @@ def _chk_k4_excessive(cfg: Config):
         {"fiber_b1": k4_ab.free_rank, "base_b1": g2_ab.free_rank}
 
 
+@_check("gammaplus.ab",
+        "the index-6 congruence subgroup of the special automorphism group abelianizes to Z^2 + (Z/2)^3")
 def _chk_gammaplus_ab(cfg: Config):
     q = quotient_map_s4_to_s3()
     return _kernel("cosets", 6, AbelianStructure(2, (2, 2, 2)),
@@ -446,6 +482,8 @@ def _chk_gammaplus_ab(cfg: Config):
                                           cfg.max_cosets))
 
 
+@_check("gammaplus.index3_gl09",
+        "the parity-stabilizer lifts together with the inner generators have index 3")
 def _chk_gammaplus_index3(cfg: Config):
     pres = braid_mod_center_presentation(4)
     lifts = {}
@@ -462,13 +500,16 @@ def _chk_gammaplus_index3(cfg: Config):
     return lifts_ok and ok, {**expected, **lifts_expected}, {**actual, **lifts}
 
 
-def _chk_cf_generator_table(cfg: Config, table=None):
-    table = CF_IMAGE_TABLE if table is None else table
+@_check("cf.generator_table",
+        "twist-generator images under the epimorphism of B_4 onto B_3 killing s1 s3^-1")
+def _chk_cf_generator_table(cfg: Config, table=CF_IMAGE_TABLE):
     return _verdicts({f"A{p}{q}": braid_equal(cardano_ferrari(pure_gen(p, q, 4)),
                                               parse_braid(image_text, 3))
                       for (p, q), image_text in sorted(table.items())})
 
 
+@_check("cf.center_square",
+        "that epimorphism sends the center generator of B_4 to the square of the center generator of B_3")
 def _chk_cf_center_square(cfg: Config):
     lhs = cardano_ferrari(delta_word(4) ** 2)
     rhs = (parse_braid("s1 s2", 3) ** 3) ** 2
@@ -476,36 +517,42 @@ def _chk_cf_center_square(cfg: Config):
     return ok, "center of B_4 -> (center generator of B_3)^2", {"equal": ok}
 
 
-def _chk_theta_kernel_gens(cfg: Config, table=None):
-    table = THETA_IMAGE_TABLE if table is None else table
+@_check("theta.kernel_gens",
+        "strand deletion kills twists meeting the deleted strand and relabels the remaining three")
+def _chk_theta_kernel_gens(cfg: Config, table=THETA_IMAGE_TABLE):
     return _verdicts({f"Theta{i}(A{p}{q})": braid_equal(delete_strand(pure_gen(p, q, 4), i),
                                                         parse_braid(image_text, 3))
                       for (i, p, q), image_text in sorted(table.items())})
 
 
-def _chk_ell_identities(cfg: Config, table=None):
-    table = ELL_IDENTITY_TABLE if table is None else table
+@_check("ell.braid_identities",
+        "the three point-pushing braids equal their twist-generator products")
+def _chk_ell_identities(cfg: Config, table=ELL_IDENTITY_TABLE):
     return _verdicts({f"l{i}": braid_equal(parse_braid(sigma_text, 4), parse_braid(a_text, 4))
                       for i, (sigma_text, a_text) in sorted(table.items())})
 
 
+@_check("ell.perm_trivial", "point-pushing braids are pure")
 def _chk_ell_perm_trivial(cfg: Config):
     return _verdicts({f"l{i}": braid_perm(ell_word(i)).is_identity() for i in (2, 3, 4)})
 
 
-def _chk_ell_psi(cfg: Config, table=None):
-    table = ELL_PSI_TABLE if table is None else table
+@_check("ell.psi_minus_identity", "each point-pushing braid acts on homology as -I")
+def _chk_ell_psi(cfg: Config, table=ELL_PSI_TABLE):
     return _matrices((f"l{i}", rows, hom_matrix(braid_action(ell_word(i))))
                      for i, rows in sorted(table.items()))
 
 
-def _chk_ell_theta4(cfg: Config, table=None):
-    table = ELL_THETA4_TABLE if table is None else table
+@_check("ell.theta4_images",
+        "deleting the fourth strand sends the point-pushing braids to A12 A23, A13 A23, and 1")
+def _chk_ell_theta4(cfg: Config, table=ELL_THETA4_TABLE):
     return _verdicts({f"Theta4(l{i})": braid_equal(delete_strand(ell_word(i), 4),
                                                    parse_braid(image_text, 3))
                       for i, image_text in sorted(table.items())})
 
 
+@_check("thmsec.theta_pairs_surjective",
+        "for each ordered pair of deletions, the image of one kernel generates the whole central quotient of P_3")
 def _chk_theta_pairs_surjective(cfg: Config):
     k3 = pure_braid3_mod_center_presentation()
     indexes = {}
@@ -530,6 +577,8 @@ def _chk_theta_pairs_surjective(cfg: Config):
     return ok and all(v == 1 for v in indexes.values()), {k: 1 for k in indexes}, indexes
 
 
+@_check("thmsec.ell_surjective",
+        "the point-pushing images under fourth-strand deletion generate the central quotient of P_3")
 def _chk_ell_surjective(cfg: Config):
     k3 = pure_braid3_mod_center_presentation()
     for i, image_text in ELL_THETA4_TABLE.items():
@@ -538,6 +587,8 @@ def _chk_ell_surjective(cfg: Config):
     return _index(k3, [k3.word("A12 A23"), k3.word("A13 A23")], 1, cfg)
 
 
+@_check("prosec.cf_frobenius",
+        "the B_4 -> B_3 epimorphism maps the fourth-strand-deletion kernel onto all of P_3")
 def _chk_cf_frobenius(cfg: Config):
     p3 = pure_braid3_presentation()
     for (p, q) in ((1, 4), (2, 4), (3, 4)):
@@ -548,6 +599,8 @@ def _chk_cf_frobenius(cfg: Config):
     return _index(p3, subgens, 1, cfg)
 
 
+@_check("prosec.theta_pair_infinite",
+        "one deletion kernel maps into another with abelianized rank 2 < 3, hence infinite index")
 def _chk_theta_pair_infinite(cfg: Config):
     p3 = pure_braid3_presentation()
     rel_rows = [r.abelianize() for r in p3.relators]
@@ -560,6 +613,7 @@ def _chk_theta_pair_infinite(cfg: Config):
     return ok, {"image_rank": 2, "b1": 3}, {"image_rank": image_rank, "b1": b1}
 
 
+@_check("j.rank5", "the kernel of F_2 -> (Z/2)^2 has index 4 and Schreier rank 5")
 def _chk_j_rank5(cfg: Config):
     sub = mod2_homology_subgroup(cfg.max_cosets)
     ok = sub.index == 4 and len(sub.basis) == 5
@@ -567,6 +621,7 @@ def _chk_j_rank5(cfg: Config):
         {"index": sub.index, "basis_size": len(sub.basis)}
 
 
+@_check("phi.hom_property", "the twisted-tuple assignment into Aut(F_n) is a group homomorphism")
 def _chk_phi_hom_property(cfg: Config):
     rng = random.Random(cfg.seed)
     cases, failures = 200, 0
@@ -582,6 +637,8 @@ def _chk_phi_hom_property(cfg: Config):
         {"failures": failures, "cases": cases}
 
 
+@_check("phi.monodromy_coinvariants",
+        "coinvariants of H_1(F_n) under the standard twisted-tuple generators have rank n-2")
 def _chk_phi_monodromy_coinvariants(cfg: Config):
     expected, actual = {}, {}
     ok = True
@@ -594,6 +651,7 @@ def _chk_phi_monodromy_coinvariants(cfg: Config):
     return ok, expected, actual
 
 
+@_check("presentation.sanity", "stock presentations abelianize as expected (Z/12, Z^3, Z^2)")
 def _chk_presentation_sanity(cfg: Config):
     got = {
         "sl2z": _ab(abelianization(sl2z_presentation())),
@@ -608,112 +666,7 @@ def _chk_presentation_sanity(cfg: Config):
     return got == want, want, got
 
 
-# --- registry ------------------------------------------------------------------
-
-_REGISTRY: list[tuple[str, str, Callable]] = [
-    ("appendix.sigma_actions",
-     "conjugation of the braid generators on the normal rank-2 free subgroup of B_4",
-     _chk_sigma_actions),
-    ("appendix.apq_actions",
-     "conjugation of the six pure-braid twist generators on the normal rank-2 subgroup",
-     _chk_apq_actions),
-    ("appendix.apq_matrices",
-     "homology matrices in SL(2,Z) of the twist-generator actions",
-     _chk_apq_matrices),
-    ("appendix.st_words",
-     "S/T-word expressions for the twist matrices, including A24 = T^2 and A12 = (TST)^-2",
-     _chk_st_words),
-    ("braid.center_trivial_action",
-     "the center of B_4 acts trivially on the normal rank-2 subgroup",
-     _chk_center_trivial),
-    ("perm.xi_images",
-     "strand permutations of the rank-2 subgroup generators generate the normal Klein subgroup of S_4",
-     _chk_xi_images),
-    ("sl2.S_index3",
-     "homology images of the four parity-stabilizer automorphisms generate an index-3 subgroup of SL(2,Z)",
-     _chk_s_index3),
-    ("sl2.sanov_index12",
-     "the Sanov subgroup <T^2, (TST)^2> has index 12 in SL(2,Z)",
-     _chk_sanov_index12),
-    ("sl2.gamma2_ab",
-     "the level-2 congruence subgroup (index 6) abelianizes to Z^2 + Z/2",
-     _chk_gamma2_ab),
-    ("sl2.gamma2_b1",
-     "first Betti number of the level-2 congruence subgroup is 2",
-     _chk_gamma2_b1),
-    ("stab.fourgen_in_stabH",
-     "the four parity-stabilizer automorphisms and inverses preserve the parity kernel",
-     _chk_fourgen_in_stab),
-    ("homology.H_coinvariants_rank1",
-     "coinvariants of the parity kernel's homology under the restricted actions have rank one",
-     _chk_h_coinvariants),
-    ("homology.H_invariants_rank1",
-     "the common fixed space of the restricted actions has dimension one",
-     _chk_h_invariants),
-    ("k4.b1_5",
-     "the central quotient of the 4-strand pure braid group has first Betti number 5",
-     _chk_k4_b1),
-    ("k4.excessive",
-     "fiber-side first Betti number exceeds the base: 5 > 2",
-     _chk_k4_excessive),
-    ("gammaplus.ab",
-     "the index-6 congruence subgroup of the special automorphism group abelianizes to Z^2 + (Z/2)^3",
-     _chk_gammaplus_ab),
-    ("gammaplus.index3_gl09",
-     "the parity-stabilizer lifts together with the inner generators have index 3",
-     _chk_gammaplus_index3),
-    ("cf.generator_table",
-     "twist-generator images under the epimorphism of B_4 onto B_3 killing s1 s3^-1",
-     _chk_cf_generator_table),
-    ("cf.center_square",
-     "that epimorphism sends the center generator of B_4 to the square of the center generator of B_3",
-     _chk_cf_center_square),
-    ("theta.kernel_gens",
-     "strand deletion kills twists meeting the deleted strand and relabels the remaining three",
-     _chk_theta_kernel_gens),
-    ("ell.braid_identities",
-     "the three point-pushing braids equal their twist-generator products",
-     _chk_ell_identities),
-    ("ell.perm_trivial",
-     "point-pushing braids are pure",
-     _chk_ell_perm_trivial),
-    ("ell.psi_minus_identity",
-     "each point-pushing braid acts on homology as -I",
-     _chk_ell_psi),
-    ("ell.theta4_images",
-     "deleting the fourth strand sends the point-pushing braids to A12 A23, A13 A23, and 1",
-     _chk_ell_theta4),
-    ("thmsec.theta_pairs_surjective",
-     "for each ordered pair of deletions, the image of one kernel generates the whole central quotient of P_3",
-     _chk_theta_pairs_surjective),
-    ("thmsec.ell_surjective",
-     "the point-pushing images under fourth-strand deletion generate the central quotient of P_3",
-     _chk_ell_surjective),
-    ("prosec.cf_frobenius",
-     "the B_4 -> B_3 epimorphism maps the fourth-strand-deletion kernel onto all of P_3",
-     _chk_cf_frobenius),
-    ("prosec.theta_pair_infinite",
-     "one deletion kernel maps into another with abelianized rank 2 < 3, hence infinite index",
-     _chk_theta_pair_infinite),
-    ("j.rank5",
-     "the kernel of F_2 -> (Z/2)^2 has index 4 and Schreier rank 5",
-     _chk_j_rank5),
-    ("phi.hom_property",
-     "the twisted-tuple assignment into Aut(F_n) is a group homomorphism",
-     _chk_phi_hom_property),
-    ("phi.monodromy_coinvariants",
-     "coinvariants of H_1(F_n) under the standard twisted-tuple generators have rank n-2",
-     _chk_phi_monodromy_coinvariants),
-    ("presentation.sanity",
-     "stock presentations abelianize as expected (Z/12, Z^3, Z^2)",
-     _chk_presentation_sanity),
-]
-
-REGISTRY: dict[str, tuple[str, Callable]] = {
-    cid: (anchor, func) for cid, anchor, func in _REGISTRY
-}
-
-CHECK_IDS: tuple[str, ...] = tuple(cid for cid, _, _ in _REGISTRY)
+CHECK_IDS: tuple[str, ...] = tuple(REGISTRY)
 
 
 # every @cache'd shared construction above, and the imported f2_word

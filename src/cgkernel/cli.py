@@ -13,7 +13,7 @@ import os
 import sys
 
 from .braids import braid_equal, braid_perm, format_braid, normal_form, parse_braid
-from .checks import CHECK_IDS, Config, UnknownCheck, run_all
+from .checks import CHECK_IDS, Config, run_all
 from .fpgroups import (CosetLimitExceeded, parse_presentation, rewrite_in_subgroup,
                        subgroup_abelianization, todd_coxeter)
 from .intlin import format_matrix, format_st, parse_matrix, sl2_word, smith_normal_form
@@ -48,6 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run registered verification checks")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--all", action="store_true", help="run every check")
     p.add_argument("--check", action="append", default=[],
                    help="check id or glob (repeatable)")
@@ -57,6 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", help="list check ids and exit")
 
     p = sub.add_parser("braid", help="braid word utilities")
+    p.set_defaults(run=_cmd_braid)
     bsub = p.add_subparsers(dest="braid_command", required=True)
     for name, nargs_words in (("nf", 1), ("eq", 2), ("perm", 1)):
         q = bsub.add_parser(name)
@@ -64,6 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
         q.add_argument("words", nargs=nargs_words)
 
     p = sub.add_parser("tc", help="Todd-Coxeter coset enumeration")
+    p.set_defaults(run=_cmd_tc)
     p.add_argument("presentation", help="presentation file (gens:/rel: format)")
     p.add_argument("subgroup", help="comma-separated subgroup generator words")
     p.add_argument("--max-cosets", type=int, default=None)
@@ -71,12 +74,15 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also print the subgroup abelianization (Reidemeister-Schreier)")
 
     p = sub.add_parser("snf", help="Smith normal form of an integer matrix")
+    p.set_defaults(run=_cmd_snf)
     p.add_argument("matrix", help="literal like [[2,0],[0,3]]")
 
     p = sub.add_parser("sl2word", help="express a det-1 matrix as an S/T word")
+    p.set_defaults(run=_cmd_sl2word)
     p.add_argument("matrix")
 
     p = sub.add_parser("subgroup", help="finite-index subgroups of free groups")
+    p.set_defaults(run=_cmd_subgroup)
     ssub = p.add_subparsers(dest="subgroup_command", required=True)
     for name in ("basis", "rewrite"):
         q = ssub.add_parser(name)
@@ -193,25 +199,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "braid":
-            return _cmd_braid(args)
-        if args.command == "tc":
-            return _cmd_tc(args)
-        if args.command == "snf":
-            return _cmd_snf(args)
-        if args.command == "sl2word":
-            return _cmd_sl2word(args)
-        if args.command == "subgroup":
-            return _cmd_subgroup(args)
-        raise AssertionError("unreachable")
+        return args.run(args)
     except CosetLimitExceeded as exc:
         print(f"coset limit exceeded: {exc}", file=sys.stderr)
         return 3
-    except UnknownCheck as exc:
-        print(f"unknown check: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -414,7 +414,6 @@ def hom_matrix(f: FreeHom) -> IntMatrix:
 
 ST_NAMES = ("s", "t")
 S_MAT = IntMatrix(((0, -1), (1, 0)))
-T_MAT = IntMatrix(((1, 1), (0, 1)))
 # S^k by k mod 4, since S^2 = -I
 _S_POWERS = (IntMatrix.identity(2), S_MAT, IntMatrix(((-1, 0), (0, -1))),
              IntMatrix(((0, 1), (-1, 0))))

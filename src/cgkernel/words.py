@@ -9,6 +9,7 @@ matrix identity in :mod:`cgkernel.intlin` is calibrated to this convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Sequence
 
 Letter = tuple[int, int]  # (1-based generator index, +1 or -1)
@@ -192,15 +193,9 @@ def format_word(w: Word, names: Sequence[str] | None = None) -> str:
     if not w.letters:
         return "1"
     parts: list[str] = []
-    run_idx, run_sign, run_len = None, 0, 0
-    for idx, sign in w.letters + ((0, 0),):
-        if idx == run_idx and sign == run_sign:
-            run_len += 1
-            continue
-        if run_idx is not None:
-            exp = run_sign * run_len
-            parts.append(names[run_idx - 1] + (f"^{exp}" if exp != 1 else ""))
-        run_idx, run_sign, run_len = idx, sign, 1
+    for (idx, sign), run in groupby(w.letters):
+        exp = sign * sum(1 for _ in run)
+        parts.append(names[idx - 1] + (f"^{exp}" if exp != 1 else ""))
     return " ".join(parts)
 
 

@@ -21,6 +21,14 @@ def test_registry_has_stable_ids():
         assert cid in CHECK_IDS
 
 
+def test_registering_a_taken_id_is_refused():
+    before = list(checks.REGISTRY.items())
+    with pytest.raises(ValueError, match="appendix.sigma_actions"):
+        checks._check("appendix.sigma_actions", "another claim")(lambda cfg: (True, {}, {}))
+    assert list(checks.REGISTRY.items()) == before
+    assert CHECK_IDS == tuple(checks.REGISTRY) and len(CHECK_IDS) == 32
+
+
 def test_unknown_check():
     with pytest.raises(UnknownCheck):
         run_check("no.such.check")
