@@ -135,9 +135,14 @@ def _cols(w: Word) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class SchreierTree:
     """Breadth-first spanning tree of a coset table, all positive edges
-    before negative ones at every coset."""
+    before negative ones at every coset.  Each coset's representative is its
+    parent's followed by the letter of the tree edge between them; it is
+    spelled only where a caller needs it.  Cosets are numbered breadth
+    first, so every coset but 0 is numbered above its parent."""
 
-    reps: tuple[Word, ...]               # coset representatives
+    parent: tuple[int, ...]              # parent[c]: c's parent coset, 0 for 0
+    letter: tuple[tuple[int, int], ...]  # letter[c]: the edge from parent[c]
+                                         # to c as (generator, sign); (0, 0) for 0
     labels: tuple[tuple[int, ...], ...]  # labels[c][g-1]: the edge (c, g)'s
                                          # Schreier generator (1-based), 0 on the tree
     nsub: int                            # number of Schreier generators
@@ -172,12 +177,16 @@ class CosetTable:
         """Schreier generators r_c g r_{c.g}^-1 for the non-tree edges, in
         (coset, generator) order; a free basis of the subgroup when the
         presentation has no relators."""
-        # r_c and r_d are paths down the tree, so each is reduced, and the
-        # off-tree edge (c, g) between them cancels neither: the letter before
-        # it enters c along a tree edge, the letter after it leaves d = c.g
-        # along one, and only a letter of the same edge could cancel g
+        # r_c and r_d are paths down the tree, so each is reduced: each step
+        # enters a coset not seen before, so no letter steps back along the
+        # edge of the letter before it.  The off-tree edge (c, g) between them
+        # cancels neither: the letter before it enters c along a tree edge,
+        # the letter after it leaves d = c.g along one, and only a letter of
+        # the same edge could cancel g
         ngens, tree, columns = self.presentation.ngens, self.tree, self.columns
-        reps = [r.letters for r in tree.reps]
+        reps = [()] * self.index
+        for c in range(1, self.index):  # a parent is numbered below its child
+            reps[c] = reps[tree.parent[c]] + (tree.letter[c],)
         inverses = [tuple((i, -s) for i, s in reversed(r)) for r in reps]
         return tuple(
             Word._reduced(ngens, reps[c] + ((g + 1, 1),) + inverses[columns[2 * g][c]])
@@ -489,27 +498,28 @@ def coset_table_from_quotient(pres: Presentation, images: Sequence[Permutation],
 
 
 def _schreier_tree(ct: CosetTable) -> SchreierTree:
-    ngens = ct.presentation.ngens
-    reps: list[tuple | None] = [None] * ct.index  # each representative's letters
-    reps[0] = ()
-    on_tree = [[False] * ngens for _ in range(ct.index)]
+    ngens, n = ct.presentation.ngens, ct.index
+    parent = [-1] * n
+    parent[0] = 0
+    letter = [(0, 0)] * n
+    on_tree = [[False] * ngens for _ in range(n)]
     # every positive column before every negative one, with its letter
     edges = [(ct.columns[2 * g + k], g, (g + 1, 1 - 2 * k)) for k in (0, 1) for g in range(ngens)]
     queue = [0]
     for c in queue:  # the queue grows as the walk goes
-        for col, g, letter in edges:
+        for col, g, let in edges:
             d = col[c]
-            if reps[d] is None:
-                reps[d] = reps[c] + (letter,)
-                on_tree[c if letter[1] == 1 else d][g] = True
+            if parent[d] < 0:
+                if d < c:
+                    raise ValueError("Schreier tree needs every coset numbered above "
+                                     "its parent, as standard numbering does")
+                parent[d], letter[d] = c, let
+                on_tree[c if let[1] == 1 else d][g] = True
                 queue.append(d)
     fresh = count(1)  # the off-tree edges' labels, in (coset, generator) order
     labels = tuple(tuple(0 if edge_on_tree else next(fresh) for edge_on_tree in row)
                    for row in on_tree)
-    nsub = next(fresh) - 1
-    # each representative walks down the tree to a coset not seen before, so
-    # no letter steps back along the edge of the letter before it
-    return SchreierTree(tuple(Word._reduced(ngens, r) for r in reps), labels, nsub)
+    return SchreierTree(tuple(parent), tuple(letter), labels, next(fresh) - 1)
 
 
 def _check_rank(ct: CosetTable, w: Word) -> None:

@@ -370,24 +370,57 @@ def coinvariants(mats: Sequence[IntMatrix], r: int) -> AbelianStructure:
 
 
 def rank_q(a: IntMatrix) -> int:
-    """Rank over Q by fraction-free Gaussian elimination: each row below the
-    pivot is cross-multiplied with the pivot row, then divided by the gcd of
-    its entries.  Shares no code with the SNF path, which it cross-checks."""
-    rows = [list(row) for row in a.data if any(row)]
+    """Rank over Q by sparse fraction-free elimination (Bareiss 1968, on
+    sparse rows).  Rows are {column: nonzero entry} dicts, indexed by
+    column.  Each step pivots on a shortest row, at its column held by the
+    fewest rows, and drops that row; every other row f*e_c + ... holding
+    the pivot column c becomes (p/g)*row - (f/g)*pivot_row, with p the
+    pivot and g = gcd(p, f), and is then divided by the gcd of its entries.
+    Each update scales a row by a nonzero integer and adds a multiple of
+    the pivot row, so the row space over Q keeps its dimension, and each
+    step removes one pivot column and one row from it: the rank is the
+    number of steps.  Shares no code with the SNF path, which it
+    cross-checks."""
+    rows: dict[int, dict[int, int]] = {}
+    where: dict[int, set[int]] = {j: set() for j in range(a.cols)}  # column -> rows
+    span = tuple(range(a.cols))
+    for i, row in enumerate(a.data):
+        if any(row):
+            rows[i] = {j: row[j] for j in compress(span, row)}
+            for j in rows[i]:
+                where[j].add(i)
     rank = 0
-    for col in range(a.cols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        p, tail = rows[rank][col], rows[rank][col:]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col]
-            if f:
-                # rows at or below the pivot are zero left of col
-                new = [p * x - f * y for x, y in zip(rows[i][col:], tail)]
-                g = gcd(*new)
-                rows[i][col:] = [x // g for x in new] if g > 1 else new
+    while rows:
+        r = min(rows, key=lambda i: len(rows[i]))
+        pivot = rows.pop(r)
+        for j in pivot:
+            where[j].discard(r)
+        c = min(pivot, key=lambda j: len(where[j]))
+        p = pivot.pop(c)
+        for i in where.pop(c):
+            row = rows[i]
+            f = row.pop(c)
+            g = gcd(p, f)
+            s, t = p // g, f // g
+            if s != 1:
+                for j in row:
+                    row[j] *= s
+            for j, y in pivot.items():
+                v = row.get(j, 0) - t * y
+                if v:
+                    if j not in row:
+                        where[j].add(i)
+                    row[j] = v
+                else:
+                    del row[j]
+                    where[j].discard(i)
+            if not row:
+                del rows[i]
+                continue
+            g = gcd(*row.values())
+            if g > 1:
+                for j in row:
+                    row[j] //= g
         rank += 1
     return rank
 

@@ -39,6 +39,12 @@ def _junction(left: Sequence[Letter], right: Sequence[Letter]) -> int:
     return n
 
 
+def _join(left: Sequence[Letter], right: Sequence[Letter]) -> tuple[Letter, ...]:
+    """The free reduction of ``left + right`` for two reduced letter tuples."""
+    n = _junction(left, right)
+    return left[:len(left) - n] + right[n:]
+
+
 class Word:
     """A freely reduced word in the free group of the given rank.
 
@@ -85,9 +91,7 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} != {other.rank}")
-        a, b = self.letters, other.letters
-        n = _junction(a, b)
-        return self._reduced(self.rank, a[:len(a) - n] + b[n:])
+        return self._reduced(self.rank, _join(self.letters, other.letters))
 
     def inverse(self) -> "Word":
         return self._reduced(self.rank, _inverse(self.letters))

@@ -1,5 +1,6 @@
 """Coset enumeration, quotient tables, Reidemeister-Schreier, abelianization."""
 
+import itertools
 import math
 import os
 import random
@@ -112,13 +113,15 @@ def sl2_mod_images(n):
     return [perm(((0, -1), (1, 0))), perm(((1, 1), (0, 1)))]
 
 
-def translations(n):
-    """a and b acting on (Z/N)^2 by the two unit translations: the Nielsen
-    quotient F_2 -> (Z/N)^2, of index N^2."""
-    pts = [(x, y) for x in range(n) for y in range(n)]
+def translations(n, rank=2):
+    """The generators of F_rank acting on (Z/N)^rank by the unit
+    translations: the quotient by the mod-N homology kernel, of index
+    N^rank, which every automorphism stabilizes (for rank 2, the Nielsen
+    quotient F_2 -> (Z/N)^2)."""
+    pts = list(itertools.product(range(n), repeat=rank))
     pos = {v: i + 1 for i, v in enumerate(pts)}
-    return [Permutation([pos[((x + 1) % n, y)] for x, y in pts]),
-            Permutation([pos[(x, (y + 1) % n)] for x, y in pts])]
+    return [Permutation([pos[v[:k] + ((v[k] + 1) % n,) + v[k + 1:]] for v in pts])
+            for k in range(rank)]
 
 
 def interleaved_walk(images):
@@ -715,7 +718,14 @@ class TestTrustedWords:
         rng = random.Random(15)
         for ct in trusted_word_tables():
             ngens, nsub = ct.presentation.ngens, ct.tree.nsub
-            assert all(checked(r) for r in ct.tree.reps)
+            # each representative, its parent's and one more letter, is
+            # reduced and reaches its coset; the basis spells it so
+            reps = [()]
+            for c in range(1, ct.index):
+                assert ct.tree.parent[c] < c
+                reps.append(reps[ct.tree.parent[c]] + (ct.tree.letter[c],))
+                assert Word(ngens, reps[c]).letters == reps[c]
+                assert ct.trace(0, Word(ngens, reps[c])) == c
             assert all(checked(g) for g in ct.basis)
             for c in range(ct.index):
                 for r in ct.presentation.relators:
@@ -729,6 +739,13 @@ class TestTrustedWords:
             for g in ct.basis:  # a basis word rewrites to its own single letter
                 rewritten = rewrite_in_subgroup(ct, g)
                 assert checked(rewritten) and len(rewritten) == 1
+
+    def test_tree_rejects_a_child_numbered_below_its_parent(self):
+        # a 4-cycle 0 -> 3 -> 1 -> 2 -> 0: the tree reaches 1 from 3
+        ct = CosetTable(Presentation(1, ()), (), one_generator_table([3, 2, 0, 1]))
+        ct.validate()
+        with pytest.raises(ValueError, match="numbered above its parent"):
+            ct.tree
 
 
 def random_quotient(rng):
@@ -785,14 +802,23 @@ class TestSubgroupAbelianization:
 
 
 # run in a child process, so that its maximum RSS is that of one table and
-# its abelianization
+# its abelianization.  The child reports its peak RSS in kB as VmHWM, which
+# exec resets; ru_maxrss survives exec on Linux and would report the peak of
+# the pytest process that started it, so it is read only where /proc is
+# absent.
 SCALE_CHILD = """
 import resource, sys
 from cgkernel.fpgroups import coset_table_from_quotient, parse_presentation, subgroup_abelianization
 from cgkernel.perms import Permutation
 ct = coset_table_from_quotient(parse_presentation(sys.stdin.read()),
                                [Permutation.transposition(8, i, i + 1) for i in range(1, 8)])
-print(ct.index, subgroup_abelianization(ct), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+ab = subgroup_abelianization(ct)
+try:
+    with open("/proc/self/status") as status:
+        peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+except OSError:
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(ct.index, ab, peak_kb)
 """
 
 

@@ -10,16 +10,17 @@ import pytest
 from cgkernel import intlin
 from cgkernel.intlin import (AbelianStructure, IntMatrix, coinvariants,
                              cokernel, eval_st, format_matrix, format_st,
-                             invariants_rank, parse_matrix, parse_st, rank_q,
-                             sl2_word, smith_normal_form, sparse_cokernel)
+                             hom_matrix, invariants_rank, parse_matrix, parse_st,
+                             rank_q, sl2_word, smith_normal_form, sparse_cokernel)
 from cgkernel.checks import sl2z2_images, strand_transpositions
 from cgkernel.fpgroups import (abelianization, braid_mod_center_presentation,
                                coset_table_from_quotient, reidemeister_schreier,
                                sl2z_presentation)
 from cgkernel.perms import quotient_map_s4_to_s3
-from cgkernel.words import Word
+from cgkernel.subgroups import from_quotient, restrict_hom
+from cgkernel.words import Word, transvection
 
-from test_fpgroups import pure_braid_table, regular_table, sl2_mod_images
+from test_fpgroups import pure_braid_table, regular_table, sl2_mod_images, translations
 
 # homology actions of the four parity-stabilizer automorphisms restricted to
 # the index-2 kernel, in the Schreier basis (a, b a b^-1, b^2); frozen from an
@@ -494,6 +495,64 @@ class TestCoinvariantsAndInvariants:
                 tuple(tuple(m[i, j] - (1 if i == j else 0) for j in range(r))
                       for m in mats for i in range(r)), cols=r)
             assert coinvariants(mats, r).free_rank + rank_q(stacked) == r
+
+
+def transpose(a):
+    return IntMatrix(tuple(zip(*a.data)), cols=a.rows)
+
+
+def low_rank(rng, rows, cols, k, bound):
+    """A random rows x cols product of a rows x k and a k x cols factor: rank
+    at most k, with entries far from +-1 once bound is large."""
+    return rand_matrix(rng, rows, k, bound) * rand_matrix(rng, k, cols, bound)
+
+
+def nielsen_stacked_differences(n):
+    """The stacked M - I of the two Nielsen transvections restricted to the
+    kernel of F_2 -> (Z/n)^2, as invariants_rank builds it."""
+    sub = from_quotient(2, translations(n))
+    mats = [hom_matrix(restrict_hom(sub, transvection(2, i, j))) for i, j in ((1, 2), (2, 1))]
+    return intlin._stack_differences(mats, sub.tree.nsub)
+
+
+def rank_q_cases():
+    rng = random.Random(26)
+    for _ in range(30):  # dense, square and not, of full rank or not
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        yield rand_matrix(rng, rows, cols, bound=rng.choice((1, 4, 30)))
+        yield low_rank(rng, rows, cols, rng.randint(1, 4), bound=rng.choice((2, 9)))
+    for _ in range(15):  # sparse relation rows, and sparse rows of rank at most 6
+        rows, cols = rng.randint(8, 20), rng.randint(8, 14)
+        yield rand_sparse_matrix(rng, rows, cols)
+        yield rand_sparse_matrix(rng, rows, 6) * rand_sparse_matrix(rng, 6, cols)
+    for n in range(2, 9):
+        yield nielsen_stacked_differences(n)
+    # entries past 64 bits: a rank-3 product of 40-bit factors
+    big = low_rank(rng, 6, 5, 3, bound=2 ** 40)
+    assert max(abs(x) for row in big.data for x in row) >= 2 ** 64
+    yield big
+
+
+class TestRankQ:
+    """rank_q against the SNF path, which it shares no code with: over Q the
+    rank is the number of columns the row space leaves out of the free part
+    of the cokernel, and it is the same for the transpose."""
+
+    def test_matches_the_cokernel_and_the_transpose(self):
+        for a in rank_q_cases():
+            r = rank_q(a)
+            assert r == a.cols - cokernel(a).free_rank, format_matrix(a)
+            assert r == rank_q(transpose(a)), format_matrix(a)
+
+    def test_shares_no_code_with_the_snf_path(self):
+        names = set(intlin.rank_q.__code__.co_names)
+        assert not names & {"_smith", "sparse_cokernel", "cokernel", "smith_normal_form"}
+
+    def test_does_not_change_its_matrix(self):
+        a = rand_matrix(random.Random(3), 5, 4)
+        data = a.data
+        rank_q(a)
+        assert a.data is data and a == IntMatrix(data)
 
 
 class TestSL2Words:

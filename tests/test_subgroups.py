@@ -8,8 +8,9 @@ from cgkernel.intlin import hom_matrix
 from cgkernel.perms import Permutation, parse_cycles
 from cgkernel.fpgroups import NotMember, rewrite_in_subgroup
 from cgkernel.subgroups import NotStabilized, expand, from_quotient, restrict_hom
-from cgkernel.words import FreeHom, Word, compose, parse_word, transvection
+from cgkernel.words import Aut, FreeHom, Word, compose, parse_word, transvection
 
+from test_fpgroups import translations
 from test_intlin import RESTRICTED_STABILIZER_MATS
 
 
@@ -166,3 +167,53 @@ def test_non_stabilizing_automorphism_rejected():
 
 def test_restriction_determinants_are_one():
     assert all(m.det() == 1 for m in RESTRICTED_STABILIZER_MATS)
+
+
+def restrict_hom_by_whole_words(ct, f):
+    """restrict_hom's earlier definition: rewrite each whole word f(u) of a
+    basis element u, and trace each whole word f^-1(u) from coset 0."""
+    try:
+        images = tuple(rewrite_in_subgroup(ct, f.fwd(u)) for u in ct.basis)
+    except NotMember:
+        raise NotStabilized("automorphism does not stabilize the subgroup") from None
+    if any(ct.trace(0, f.inv(u)) != 0 for u in ct.basis):
+        raise NotStabilized("automorphism does not stabilize the subgroup")
+    return FreeHom(len(ct.basis), len(ct.basis), images)
+
+
+def random_nielsen_product(rng, rank):
+    f = Aut.identity(rank)
+    for _ in range(rng.randint(1, 6)):
+        t = transvection(rank, *rng.sample(range(1, rank + 1), 2))
+        f = f * (t if rng.random() < 0.5 else t.inverse())
+    return f
+
+
+def test_restriction_matches_rewriting_whole_images():
+    # kernels of F_2 and F_3 onto (Z/n)^rank, which every automorphism
+    # stabilizes, and onto random permutation groups, which most do not
+    rng = random.Random(26)
+    stabilized = rejected = 0
+    for trial in range(40):
+        rank = 2 + trial % 2
+        if trial % 4 < 2:
+            images = translations(rng.randint(2, 4 if rank == 2 else 3), rank)
+        else:
+            degree = rng.randint(3, 5)
+            images = [Permutation(rng.sample(range(1, degree + 1), degree)) for _ in range(rank)]
+        ct = from_quotient(rank, images)
+        for _ in range(3):
+            f = random_nielsen_product(rng, rank)
+            try:
+                want = restrict_hom_by_whole_words(ct, f)
+            except NotStabilized:
+                with pytest.raises(NotStabilized):
+                    restrict_hom(ct, f)
+                rejected += 1
+            else:
+                got = restrict_hom(ct, f)
+                assert got == want
+                assert all(type(im) is Word and Word(im.rank, im.letters) == im
+                           for im in got.images)
+                stabilized += 1
+    assert stabilized >= 40 and rejected >= 20
