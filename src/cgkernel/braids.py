@@ -10,9 +10,9 @@ rank-2 normal free subgroup <s1 s3^-1, s2 s1 s3^-1 s2^-1>.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import cache
 from itertools import permutations
-from typing import Iterable, Sequence
 
 from .perms import Permutation
 from .words import FreeHom, Letter, Word, compose

@@ -17,9 +17,8 @@ from __future__ import annotations
 import fnmatch
 import random
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import cache
-from typing import Any, Callable
 
 from . import braids, perms, subgroups
 from .braids import (BraidWord, braid_action, braid_equal, braid_perm,
@@ -36,7 +35,7 @@ from .fpgroups import (CosetLimitExceeded, CosetTable, Presentation,
 from .perms import (DEFAULT_MAX_COSETS, Permutation, closure, is_normal,
                     parse_cycles, quotient_map_s4_to_s3)
 from .subgroups import from_quotient, restrict_hom
-from .words import (Aut, FreeHom, SemidirectElement, Word, compose,
+from .words import (Aut, FreeHom, SemidirectElement, Word, _Record, compose,
                     format_word, transvection)
 
 
@@ -44,8 +43,7 @@ class UnknownCheck(KeyError):
     """No check registered under the requested id."""
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(_Record):
     """Runtime knobs shared by all checks."""
 
     max_cosets: int = DEFAULT_MAX_COSETS
@@ -57,12 +55,11 @@ class Config:
             raise ValueError("max_cosets must be at least 1")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
     id: str
     passed: bool
-    expected: Any
-    actual: Any
+    expected: object
+    actual: object
     paper_anchor: str
     elapsed: float
 

@@ -25,15 +25,14 @@ exponent sums to `sparse_cokernel` and builds no `Word` or `Presentation`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import count
-from typing import Iterable, Iterator, Sequence
 
 from .intlin import AbelianStructure, sparse_cokernel
 from .perms import (DEFAULT_MAX_COSETS, CosetLimitExceeded, Permutation, orbit,
                     regular_orbit)
-from .words import FreeHom, Word, default_names, format_word, parse_word
+from .words import FreeHom, Word, _Record, default_names, format_word, parse_word
 
 
 class RelatorViolated(ValueError):
@@ -44,8 +43,7 @@ class NotMember(ValueError):
     """Word does not lie in the subgroup."""
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(_Record):
     """Group presentation; relators are stored freely and cyclically reduced."""
 
     ngens: int
@@ -132,8 +130,7 @@ def _cols(w: Word) -> tuple[int, ...]:
     return tuple(2 * (i - 1) + (0 if s == 1 else 1) for i, s in w.letters)
 
 
-@dataclass(frozen=True)
-class SchreierTree:
+class SchreierTree(_Record):
     """Breadth-first spanning tree of a coset table, all positive edges
     before negative ones at every coset.  Each coset's representative is its
     parent's followed by the letter of the tree edge between them; it is
@@ -148,8 +145,7 @@ class SchreierTree:
     nsub: int                            # number of Schreier generators
 
 
-@dataclass(frozen=True)
-class CosetTable:
+class CosetTable(_Record):
     """Complete coset table over a finitely presented group, column-major:
     ``columns[x][c]`` is coset c times column x.  Its Schreier tree, basis
     and basis hom are built once, on first use."""

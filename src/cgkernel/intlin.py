@@ -8,14 +8,12 @@ against; exactness is the whole point.
 
 from __future__ import annotations
 
-import ast
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from heapq import heapify, heappop, heappush
 from itertools import compress, groupby
 from math import gcd
-from typing import Iterable, Sequence
 
-from .words import FreeHom, Word, parse_word, format_word
+from .words import FreeHom, Word, _Record, parse_word, format_word
 
 
 class IntMatrix:
@@ -106,6 +104,7 @@ class IntMatrix:
 
 def parse_matrix(text: str) -> IntMatrix:
     """Parse a literal like ``[[1,2],[0,1]]``."""
+    import ast  # here, so that importing the package does not load the parser
     try:
         data = ast.literal_eval(text)
     except (ValueError, SyntaxError) as exc:
@@ -121,8 +120,7 @@ def format_matrix(m: IntMatrix) -> str:
     return "[" + ",".join("[" + ",".join(str(e) for e in row) + "]" for row in m.data) + "]"
 
 
-@dataclass(frozen=True)
-class AbelianStructure:
+class AbelianStructure(_Record):
     """Finitely generated abelian group: Z^free_rank + sum of Z/d with d|d'."""
 
     free_rank: int

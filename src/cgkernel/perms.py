@@ -4,8 +4,8 @@ quotient S4 -> S3."""
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Sequence
 
 # closure returns every element as a Permutation; degree 8 (40,320
 # elements) bounds that set, not the orbits that coset tables walk

@@ -9,7 +9,7 @@ rewriting map, so everything downstream is deterministic.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .fpgroups import (CosetTable, Presentation, _cols, _walk,
                        coset_table_from_quotient)

@@ -8,9 +8,9 @@ matrix identity in :mod:`cgkernel.intlin` is calibrated to this convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from itertools import groupby
-from typing import Iterable, Sequence
+from operator import attrgetter
 
 Letter = tuple[int, int]  # (1-based generator index, +1 or -1)
 
@@ -43,6 +43,78 @@ def _join(left: Sequence[Letter], right: Sequence[Letter]) -> tuple[Letter, ...]
     """The free reduction of ``left + right`` for two reduced letter tuples."""
     n = _junction(left, right)
     return left[:len(left) - n] + right[n:]
+
+
+_setattr = object.__setattr__
+
+
+class _Record:
+    """Base of the package's immutable records.
+
+    A record's fields are the names annotated in its own class body, in
+    order; a class attribute of the same name is that field's default (the
+    rule of a dataclass).  The base binds them from positional and keyword
+    arguments and then calls ``__post_init__``.  Records are equal when they
+    are of one class with equal field tuples, hash as that tuple, print as
+    ``Name(field=value, ...)``, and refuse assignment and deletion;
+    ``object.__setattr__`` still sets an attribute, for a ``__post_init__``
+    that normalises a field or a value cached on first need.
+    """
+
+    def __init_subclass__(cls):
+        fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = fields
+        cls._defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
+        # the field tuple: every record has two or more fields, and for two
+        # or more names attrgetter gives a tuple
+        cls._values = staticmethod(attrgetter(*fields))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        # field by field, as assignments in __init__ would: filling __dict__
+        # at once would make CPython keep a real dict per instance, and every
+        # attribute read slower
+        for name, value in zip(fields, args):
+            _setattr(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args, kwargs) -> list:
+        fields, name = cls._fields, cls.__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        given = dict(zip(fields, args))
+        for key in kwargs:
+            if key not in fields or key in given:
+                raise TypeError(f"{name}() got an unexpected or repeated argument {key!r}")
+        values = {**cls._defaults, **given, **kwargs}
+        missing = [f for f in fields if f not in values]
+        if missing:
+            raise TypeError(f"{name}() missing argument {missing[0]!r}")
+        return [values[f] for f in fields]
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
 
 class Word:
@@ -203,8 +275,7 @@ def format_word(w: Word, names: Sequence[str] | None = None) -> str:
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class FreeHom:
+class FreeHom(_Record):
     """Homomorphism of free groups given by generator images."""
 
     src_rank: int
@@ -281,8 +352,7 @@ def verify_automorphism(f: FreeHom, g: FreeHom) -> bool:
     return compose(f, g).is_identity() and compose(g, f).is_identity()
 
 
-@dataclass(frozen=True)
-class Aut:
+class Aut(_Record):
     """An automorphism certified by an explicit inverse.
 
     Surjectivity of a free-group endomorphism is not decidable by local
@@ -339,8 +409,7 @@ def transvection(rank: int, i: int, j: int) -> Aut:
                FreeHom(rank, rank, tuple(inv_images)))
 
 
-@dataclass(frozen=True)
-class SemidirectElement:
+class SemidirectElement(_Record):
     """Element of F_2^(2n-4) x| F_2 acting on F_n = <a, b, x_3, ..., x_n>.
 
     ``left[k]``/``right[k]`` (rank-2 words) conjugate-translate x_{k+3}, and

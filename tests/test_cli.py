@@ -1,6 +1,7 @@
 """End-to-end CLI contract: subcommands, output shapes, exit codes."""
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import cgkernel
 from cgkernel import perms
 from cgkernel.braids import BraidWord, format_braid, normal_form
 from cgkernel.cli import main
@@ -413,3 +415,28 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "pass" in proc.stdout
+
+
+def fresh_cli(*argv):
+    """``python -S -m cgkernel ...`` in a child process: unlike ``main`` in
+    this one, it has none of pytest's modules loaded, so an import that the
+    package leaves out fails here."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cgkernel.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-S", "-m", "cgkernel", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_fresh_process_verify_all_json_matches_the_golden():
+    proc = fresh_cli("verify", "--all", "--json")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    for entry in payload:
+        del entry["elapsed_ms"]
+    golden = (GOLDEN / "verify_all.json").read_text(encoding="utf-8")
+    assert json.dumps(payload, indent=2) + "\n" == golden
+
+
+def test_fresh_process_snf_parses_its_matrix():
+    proc = fresh_cli("snf", "[[2,4,4],[-6,6,12],[10,4,16]]")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "D = [[2,0,0],[0,2,0],[0,0,156]]"

@@ -748,16 +748,21 @@ class TestTrustedWords:
             ct.tree
 
 
-def random_quotient(rng):
+def random_word(rng, rank):
+    """A word of 1-6 random letters."""
+    return Word(rank, [(rng.randint(1, rank), rng.choice((1, -1)))
+                       for _ in range(rng.randint(1, 6))])
+
+
+def random_quotient(rng, degrees=(4, 6)):
     """The coset table of the kernel of a random quotient: 2 or 3 random
-    permutations of degree 4-6, and 1-4 relators, each a random word raised
-    to the order of its image."""
-    degree, rank = rng.randint(4, 6), rng.randint(2, 3)
+    permutations of a degree in the range ``degrees`` (4-6 by default), and
+    1-4 relators, each a random word raised to the order of its image."""
+    degree, rank = rng.randint(*degrees), rng.randint(2, 3)
     images = [Permutation(rng.sample(range(1, degree + 1), degree)) for _ in range(rank)]
     relators = []
     for _ in range(rng.randint(1, 4)):
-        w = Word(rank, [(rng.randint(1, rank), rng.choice((1, -1)))
-                        for _ in range(rng.randint(1, 6))])
+        w = random_word(rng, rank)
         relators.append(w ** math.lcm(*map(len, image_of(images, w).cycles())))
     return coset_table_from_quotient(Presentation(rank, tuple(relators)), images)
 
@@ -799,6 +804,34 @@ class TestSubgroupAbelianization:
         assert ct.index == 720
         assert subgroup_abelianization(ct) == abelianization(reidemeister_schreier(ct)) \
             == AbelianStructure(662)
+
+
+class TestToddCoxeterAgainstTheRegularAction:
+    # two producers of one table: standard numbering is unique, so Todd-Coxeter
+    # on the kernel's whole Schreier basis must give the quotient table column
+    # for column.  The basis words define cosets as they are traced, so the
+    # enumeration goes through coincidences and the renumbering.  One more
+    # word x outside the kernel generates the preimage of <x's image>, whose
+    # index is the image's order over x's order there; x's order is read off
+    # the regular action, where x^m fixes coset 0 exactly when x^m is in the kernel
+    def test_random_quotients(self):
+        rng = random.Random(27)
+        indexes = set()
+        for k in range(31):
+            ct = random_quotient(rng, degrees=(7, 7) if k == 30 else (4, 6))
+            indexes.add(ct.index)
+            pres, rank = ct.presentation, ct.presentation.ngens
+            assert todd_coxeter(pres, ct.basis).columns == ct.columns
+            x = random_word(rng, rank)
+            while ct.trace(0, x) == 0:
+                x = random_word(rng, rank)
+            order, coset = 1, ct.trace(0, x)
+            while coset:
+                order, coset = order + 1, ct.trace(coset, x)
+            larger = todd_coxeter(pres, ct.basis + (x,))
+            larger.validate()
+            assert larger.index * order == ct.index
+        assert 5040 in indexes and len(indexes) >= 8
 
 
 # run in a child process, so that its maximum RSS is that of one table and

@@ -1,10 +1,24 @@
-"""Packaging facts: the package runs on the standard library alone."""
+"""Packaging facts: the package runs on the standard library alone, and
+importing it loads no more of that library than it uses."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 import cgkernel
+
+SRC = pathlib.Path(cgkernel.__file__).parents[1]
+
+
+def fresh_python(*args):
+    """Run ``python -S`` with only the package's source on the path: -S keeps
+    the site module, and with it the installation's .pth files, from
+    importing modules of their own."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-S", *args], capture_output=True, text=True,
+                          env=env, timeout=120)
 
 
 def test_every_import_is_package_relative_or_standard_library():
@@ -22,3 +36,15 @@ def test_every_import_is_package_relative_or_standard_library():
             outside += [f"{path.name}: {name}" for name in names
                         if name.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_ast_or_typing():
+    # each costs a fresh `cgkernel verify` process milliseconds of import;
+    # the records share one base class in words, parse_matrix imports ast
+    # when it runs, and annotations name collections.abc types
+    proc = fresh_python("-c", "import sys; before = set(sys.modules); import cgkernel.cli; "
+                              "print(*sorted(set(sys.modules) - before))")
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "cgkernel.cli" in added
+    assert sorted(added & {"dataclasses", "inspect", "ast", "typing"}) == []
