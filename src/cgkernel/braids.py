@@ -10,12 +10,12 @@ rank-2 normal free subgroup <s1 s3^-1, s2 s1 s3^-1 s2^-1>.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from functools import cache
 from itertools import permutations
 
 from .perms import Permutation
-from .words import FreeHom, Letter, Word, compose
+from .words import FreeHom, Letter, Word, _Record, compose
 
 MAX_STRANDS = 6
 HANDLE_STEPS = 1_000_000  # handle reductions before handle_reduce gives up
@@ -196,38 +196,26 @@ def _simples(n: int) -> _SimpleTable:
     return table
 
 
-class GarsideNormalForm:
+class GarsideNormalForm(_Record):
     """Canonical form Delta^k * f_1 ... f_m with left-weighted permutation
     braid factors, none of which is trivial or the half twist."""
 
-    __slots__ = ("n", "delta_power", "factors")
+    n: int
+    delta_power: int
+    factors: tuple[Permutation, ...]
 
-    def __init__(self, n: int, delta_power: int, factors: Sequence[Permutation]):
-        factors = tuple(factors)
-        delta = Permutation(range(n, 0, -1))
+    def __post_init__(self):
+        factors = tuple(self.factors)
+        delta = Permutation(range(self.n, 0, -1))
         for f in factors:
-            if f.n != n:
+            if f.n != self.n:
                 raise ValueError("factor degree mismatch")
             if f.is_identity() or f == delta:
                 raise ValueError("factors must be proper permutation braids")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "delta_power", delta_power)
         object.__setattr__(self, "factors", factors)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GarsideNormalForm is immutable")
 
     def is_trivial(self) -> bool:
         return self.delta_power == 0 and not self.factors
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, GarsideNormalForm)
-                and self.n == other.n
-                and self.delta_power == other.delta_power
-                and self.factors == other.factors)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.delta_power, self.factors))
 
     def __repr__(self) -> str:
         return f"GarsideNormalForm(n={self.n}, Delta^{self.delta_power}, {len(self.factors)} factors)"

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes are a stable contract: 0 success / all checks passed, 1 at least
-one check failed, 2 usage or parse error, 3 coset limit exceeded.
+one check failed, 2 usage or parse error, 3 coset limit exceeded.  A reader
+that closes the output pipe early ends the run quietly with 0.
 """
 
 from __future__ import annotations
@@ -199,10 +200,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.run(args)
+        code = args.run(args)
+        if sys.stdout is not None:  # None when the process starts with it closed
+            sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except CosetLimitExceeded as exc:
         print(f"coset limit exceeded: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader left, as `| head` does: stop quietly, and send what is
+        # still buffered to os.devnull so the final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,7 @@ against; exactness is the whole point.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from heapq import heapify, heappop, heappush
 from itertools import compress, groupby
 from math import gcd
@@ -212,12 +212,15 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             IntMatrix([row[:nc] for row in m[nr:]], cols=nc))
 
 
-def cokernel(a: IntMatrix) -> AbelianStructure:
-    """Structure of Z^cols / (row space of A): the nonzero entries of each
-    row, as one sparse row, go to sparse_cokernel as they are read."""
+def _sparse_rows(a: IntMatrix) -> Iterator[dict[int, int]]:
+    # the nonzero entries of each row as {column: entry}, made as they are read
     span = tuple(range(a.cols))  # a tuple hands out its ints without allocating
-    return sparse_cokernel(({j: row[j] for j in compress(span, row)} for row in a.data),
-                           a.cols)
+    return ({j: row[j] for j in compress(span, row)} for row in a.data)
+
+
+def cokernel(a: IntMatrix) -> AbelianStructure:
+    """Structure of Z^cols / (row space of A), by sparse_cokernel."""
+    return sparse_cokernel(_sparse_rows(a), a.cols)
 
 
 def sparse_cokernel(rows: Iterable[dict[int, int]], ncols: int) -> AbelianStructure:
@@ -350,53 +353,59 @@ def sparse_cokernel(rows: Iterable[dict[int, int]], ncols: int) -> AbelianStruct
     return AbelianStructure(len(where) - len(nonzero), tuple(x for x in nonzero if x > 1))
 
 
-def _stack_differences(mats: Sequence[IntMatrix], r: int) -> IntMatrix:
-    rows = []
+def _difference_rows(mats: Sequence[IntMatrix], r: int) -> Iterator[dict[int, int]]:
+    # each row of each M - I, sparse as {column: nonzero entry}; a diagonal
+    # entry that becomes 0 is left out, as is every other 0
+    span = tuple(range(r))
     for m in mats:
         if m.rows != r or m.cols != r:
             raise ValueError(f"expected {r}x{r} matrices")
         for i, row in enumerate(m.data):
             diff = list(row)
             diff[i] -= 1
-            rows.append(tuple(diff))
-    return IntMatrix(rows, cols=r)
+            yield {j: diff[j] for j in compress(span, diff)}
 
 
 def coinvariants(mats: Sequence[IntMatrix], r: int) -> AbelianStructure:
-    """Quotient of Z^r by the span of { v*M - v }: cokernel of stacked M - I."""
-    return cokernel(_stack_differences(mats, r))
+    """Quotient of Z^r by the span of { v*M - v }: the cokernel of the
+    stacked M - I, whose rows go to sparse_cokernel as they are made."""
+    return sparse_cokernel(_difference_rows(mats, r), r)
 
 
 def rank_q(a: IntMatrix) -> int:
-    """Rank over Q by sparse fraction-free elimination (Bareiss 1968, on
-    sparse rows).  Rows are {column: nonzero entry} dicts, indexed by
-    column.  Each step pivots on a shortest row, at its column held by the
-    fewest rows, and drops that row; every other row f*e_c + ... holding
-    the pivot column c becomes (p/g)*row - (f/g)*pivot_row, with p the
-    pivot and g = gcd(p, f), and is then divided by the gcd of its entries.
-    Each update scales a row by a nonzero integer and adds a multiple of
-    the pivot row, so the row space over Q keeps its dimension, and each
-    step removes one pivot column and one row from it: the rank is the
-    number of steps.  Shares no code with the SNF path, which it
-    cross-checks."""
-    rows: dict[int, dict[int, int]] = {}
-    where: dict[int, set[int]] = {j: set() for j in range(a.cols)}  # column -> rows
-    span = tuple(range(a.cols))
-    for i, row in enumerate(a.data):
-        if any(row):
-            rows[i] = {j: row[j] for j in compress(span, row)}
-            for j in rows[i]:
-                where[j].add(i)
+    """Rank over Q, by `_rank_q` on the nonzero entries of each row."""
+    return _rank_q(_sparse_rows(a))
+
+
+def _rank_q(rows: Iterable[dict[int, int]]) -> int:
+    """Rank over Q of sparse rows {column: nonzero entry}, by sparse
+    fraction-free elimination (Bareiss 1968, on sparse rows); the dicts are
+    taken over and changed.  Each step pivots on a shortest row, at its
+    column held by the fewest rows, and drops that row; every other row
+    f*e_c + ... holding the pivot column c becomes (p/g)*row -
+    (f/g)*pivot_row, with p the pivot and g = gcd(p, f), and is then
+    divided by the gcd of its entries.  Each update scales a row by a
+    nonzero integer and adds a multiple of the pivot row, so the row space
+    over Q keeps its dimension, and each step removes one pivot column and
+    one row from it: the rank is the number of steps.  Shares no
+    elimination code with the SNF path, which it cross-checks."""
+    kept: dict[int, dict[int, int]] = {}
+    where: dict[int, set[int]] = {}  # column -> rows, filled as the rows arrive
+    for i, row in enumerate(rows):
+        if row:
+            kept[i] = row
+            for j in row:
+                where.setdefault(j, set()).add(i)
     rank = 0
-    while rows:
-        r = min(rows, key=lambda i: len(rows[i]))
-        pivot = rows.pop(r)
+    while kept:
+        r = min(kept, key=lambda i: len(kept[i]))
+        pivot = kept.pop(r)
         for j in pivot:
             where[j].discard(r)
         c = min(pivot, key=lambda j: len(where[j]))
         p = pivot.pop(c)
         for i in where.pop(c):
-            row = rows[i]
+            row = kept[i]
             f = row.pop(c)
             g = gcd(p, f)
             s, t = p // g, f // g
@@ -413,7 +422,7 @@ def rank_q(a: IntMatrix) -> int:
                     del row[j]
                     where[j].discard(i)
             if not row:
-                del rows[i]
+                del kept[i]
                 continue
             g = gcd(*row.values())
             if g > 1:
@@ -429,7 +438,7 @@ def invariants_rank(mats: Sequence[IntMatrix]) -> int:
     if not mats:
         raise ValueError("need at least one matrix")
     r = mats[0].rows
-    return r - rank_q(_stack_differences(mats, r))
+    return r - _rank_q(_difference_rows(mats, r))
 
 
 def hom_matrix(f: FreeHom) -> IntMatrix:

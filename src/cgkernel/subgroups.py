@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .fpgroups import (CosetTable, Presentation, _cols, _walk,
-                       coset_table_from_quotient)
+from .fpgroups import CosetTable, Presentation, _walk, coset_table_from_quotient
 from .perms import DEFAULT_MAX_COSETS, Permutation
 from .words import Aut, FreeHom, Word, _inverse, _join
 
@@ -35,8 +34,11 @@ def expand(ct: CosetTable, w: Word) -> Word:
 
 def restrict_hom(ct: CosetTable, f: Aut) -> FreeHom:
     """Restriction of an ambient automorphism to the subgroup, expressed on
-    the Schreier basis.  Requires f and f^-1 to map every basis element back
-    into the subgroup, which certifies f(H) = H.
+    the Schreier basis.  Requires f to map every basis element back into
+    the subgroup.  That certifies f(H) = H, since H has finite index: f is
+    an automorphism of F (an `Aut` is checked against its inverse when it
+    is built), so [F : f(H)] = [F : H], and f(H) <= H then leaves
+    [H : f(H)] = 1.  f^-1 is never read.
 
     No whole image word is built.  A block is the image under f of one
     letter, read from one coset over the tree labels by `_walk`.  reads[c],
@@ -48,44 +50,26 @@ def restrict_hom(ct: CosetTable, f: Aut) -> FreeHom:
     when that block ends at ends[d].  A path's Schreier letters cancel in
     pairs where the path steps back along an edge, so joining reduced
     blocks with cancellation only at the junctions (the rule of
-    `FreeHom.__call__`) gives the reading of the reduced word f(u).  f^-1
-    is checked on cosets alone: back[c] = 0 . f^-1(r_c) comes from
-    back[parent] through one permutation of the cosets per image of f^-1,
-    and f^-1(u) fixes coset 0 exactly when f^-1(g) takes back[c] to
-    back[d]."""
+    `FreeHom.__call__`) gives the reading of the reduced word f(u)."""
     if f.rank != ct.presentation.ngens:
         raise ValueError("rank mismatch")
     tree, columns, n = ct.tree, ct.columns, ct.index
-    # images[g, s]: the image of x_g^s under f; perms[g, s][c] = c . f^-1(x_g^s),
-    # one pass per image over its columns.  x_g^-1 is needed only on a tree
-    # edge, so its entries are made only for the tree's letters.
-    images, perms = {}, {}
-    tree_letters = set(tree.letter[1:])
-    for g, (im, im_inv) in enumerate(zip(f.fwd.images, f.inv.images), 1):
-        perm = list(range(n))
-        for x in _cols(im_inv):
-            col = columns[x]
-            perm = [col[c] for c in perm]
-        images[g, 1], perms[g, 1] = im, perm
-        if (g, -1) in tree_letters:
-            inv = [0] * n
-            for c, d in enumerate(perm):
-                inv[d] = c
-            images[g, -1], perms[g, -1] = im.inverse(), inv
+    # the image of x_g^s under f, for every letter
+    images = {(g, s): im if s == 1 else im.inverse()
+              for g, im in enumerate(f.fwd.images, 1) for s in (1, -1)}
     reads: list[tuple] = [()] * n
-    ends, back = [0] * n, [0] * n
+    ends = [0] * n
     for c in range(1, n):  # a parent is numbered below its child
         p, let = tree.parent[c], tree.letter[c]
         block, ends[c] = _walk(ct, ends[p], images[let])
         reads[c] = _join(reads[p], tuple(block))
-        back[c] = perms[let][back[p]]
     basis_images = []
     for c, row in enumerate(tree.labels):
         for g, k in enumerate(row, 1):
             if k:
                 d = columns[2 * g - 2][c]
                 block, end = _walk(ct, ends[c], images[g, 1])
-                if end != ends[d] or perms[g, 1][back[c]] != back[d]:
+                if end != ends[d]:
                     raise NotStabilized("automorphism does not stabilize the subgroup")
                 basis_images.append(_join(_join(reads[c], tuple(block)), _inverse(reads[d])))
     nsub = tree.nsub

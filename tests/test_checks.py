@@ -234,3 +234,17 @@ def test_free_group_quotient_tables_honour_the_coset_limit(cold_caches):
     assert all(results[i].passed for i in parity)
     assert "exceeded 3 cosets" in results["j.rank5"].actual["error"]
     assert run_check("j.rank5", Config(max_cosets=4)).passed
+
+
+@pytest.mark.parametrize("check_id, table, key, value, same_evidence", [
+    # A13^-1 is no deletion image, yet every subgroup it enters still has
+    # index 1: only the check of the row itself can fail
+    ("thmsec.theta_pairs_surjective", checks.THETA_IMAGE_TABLE, (4, 1, 3), "A13^-1", True),
+    ("thmsec.ell_surjective", checks.ELL_THETA4_TABLE, 2, "A13 A23", False),
+])
+def test_surjectivity_checks_read_their_images_from_the_table(check_id, table, key, value,
+                                                              same_evidence):
+    clean = run_check(check_id, table=dict(table))
+    broken = run_check(check_id, table={**table, key: value})
+    assert clean.passed and not broken.passed
+    assert ((broken.expected, broken.actual) == (clean.expected, clean.actual)) == same_evidence

@@ -417,13 +417,15 @@ def test_module_entry_point():
     assert "pass" in proc.stdout
 
 
-def fresh_cli(*argv):
-    """``python -S -m cgkernel ...`` in a child process: unlike ``main`` in
-    this one, it has none of pytest's modules loaded, so an import that the
-    package leaves out fails here."""
+def fresh_cli(*argv, stdout=subprocess.PIPE, launcher=()):
+    """``python -S -m cgkernel ...`` in a child process, started through
+    ``launcher`` if one is given: unlike ``main`` in this one, it has none
+    of pytest's modules loaded, so an import that the package leaves out
+    fails here."""
     env = {**os.environ, "PYTHONPATH": str(Path(cgkernel.__file__).parents[1])}
-    return subprocess.run([sys.executable, "-S", "-m", "cgkernel", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([*launcher, sys.executable, "-S", "-m", "cgkernel", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+                          timeout=120)
 
 
 def test_fresh_process_verify_all_json_matches_the_golden():
@@ -440,3 +442,23 @@ def test_fresh_process_snf_parses_its_matrix():
     proc = fresh_cli("snf", "[[2,4,4],[-6,6,12],[10,4,16]]")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "D = [[2,0,0],[0,2,0],[0,0,156]]"
+
+
+@pytest.mark.parametrize("argv", [("snf", "[[2,4,4],[-6,6,12],[10,4,16]]"),
+                                  ("verify", "--all", "--json")])
+def test_output_into_a_closed_pipe_exits_quietly(argv):
+    # the read end is closed before the child starts, so its first write
+    # (or the flush that main makes) meets a broken pipe every time
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = fresh_cli(*argv, stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_a_process_started_without_stdout_exits_quietly():
+    # with fd 1 closed, sys.stdout is None and print writes nothing
+    proc = fresh_cli("snf", "[[2,4],[6,8]]", launcher=("sh", "-c", 'exec "$0" "$@" >&-'))
+    assert (proc.returncode, proc.stderr) == (0, "")

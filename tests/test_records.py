@@ -1,14 +1,16 @@
 """The package's immutable records: FreeHom, Aut, SemidirectElement,
-AbelianStructure, Presentation, SchreierTree, CosetTable, Config and
-CheckResult.  Their reprs are pinned as the frozen dataclasses they replace
-printed them, and each record equals, and hashes as, its field tuple."""
+AbelianStructure, Presentation, SchreierTree, CosetTable, Config,
+CheckResult and GarsideNormalForm.  Their reprs are pinned as the classes
+they replace printed them (the frozen dataclasses, and GarsideNormalForm's
+own), and each record equals, and hashes as, its field tuple."""
 
 import pytest
 
+from cgkernel.braids import GarsideNormalForm, normal_form, parse_braid
 from cgkernel.checks import CheckResult, Config
 from cgkernel.fpgroups import Presentation, parse_presentation, todd_coxeter
 from cgkernel.intlin import AbelianStructure
-from cgkernel.perms import DEFAULT_MAX_COSETS
+from cgkernel.perms import DEFAULT_MAX_COSETS, Permutation
 from cgkernel.words import Aut, FreeHom, SemidirectElement, Word, _Record, transvection
 
 a, b = Word.gen(2, 1), Word.gen(2, 2)
@@ -56,6 +58,9 @@ RECORDS = {
                     ("id", "passed", "expected", "actual", "paper_anchor", "elapsed"),
                     "CheckResult(id='k4.b1_5', passed=True, expected=5, actual=5, "
                     "paper_anchor='Prop. 4.1', elapsed=0.25)"),
+    "GarsideNormalForm": (lambda: normal_form(parse_braid("s1 s2 s1^-1 s3", 4)),
+                          ("n", "delta_power", "factors"),
+                          "GarsideNormalForm(n=4, Delta^-1, 2 factors)"),
 }
 
 
@@ -157,6 +162,9 @@ class TestPostInit:
             (lambda: Presentation(2, (), ("a", "a")), "duplicate generator name"),
             (lambda: Presentation(2, (Word.gen(3, 1),)), "relator rank mismatch"),
             (lambda: Config(max_cosets=-5), "max_cosets must be at least 1"),
+            (lambda: GarsideNormalForm(3, 0, [Permutation((2, 1))]), "factor degree mismatch"),
+            (lambda: GarsideNormalForm(3, 0, [Permutation((3, 2, 1))]),
+             "factors must be proper permutation braids"),
         ]
         for build, message in cases:
             with pytest.raises(ValueError, match=message):
@@ -166,6 +174,9 @@ class TestPostInit:
         pres = Presentation(2, (b * a * b.inverse(),))
         assert pres.names == ("a", "b") and pres.relators == (a,)
         assert pres == Presentation(2, (a,), ("a", "b"))
+        factors = [Permutation((2, 1, 3))]
+        nf = GarsideNormalForm(3, 1, factors)
+        assert nf.factors == (Permutation((2, 1, 3)),) and nf == GarsideNormalForm(3, 1, factors)
 
     def test_values_cached_on_first_need_stay_out_of_equality(self):
         f = FreeHom(2, 2, (a * b, b))

@@ -8,7 +8,8 @@ from cgkernel.intlin import hom_matrix
 from cgkernel.perms import Permutation, parse_cycles
 from cgkernel.fpgroups import NotMember, rewrite_in_subgroup
 from cgkernel.subgroups import NotStabilized, expand, from_quotient, restrict_hom
-from cgkernel.words import Aut, FreeHom, Word, compose, parse_word, transvection
+from cgkernel.words import (Aut, FreeHom, Word, compose, parse_word, transvection,
+                            verify_automorphism)
 
 from test_fpgroups import translations
 from test_intlin import RESTRICTED_STABILIZER_MATS
@@ -213,6 +214,9 @@ def test_restriction_matches_rewriting_whole_images():
             else:
                 got = restrict_hom(ct, f)
                 assert got == want
+                # f(H) <= H at finite index gives f(H) = H: f^-1 restricts
+                # too, to the inverse of the restriction of f
+                assert verify_automorphism(got, restrict_hom(ct, f.inverse()))
                 assert all(type(im) is Word and Word(im.rank, im.letters) == im
                            for im in got.images)
                 stabilized += 1
