@@ -13,13 +13,16 @@ from heapq import heapify, heappop, heappush
 from itertools import compress, groupby
 from math import gcd
 
-from .words import FreeHom, Word, _Record, parse_word, format_word
+from .words import FreeHom, Word, _Record, _setattr, parse_word, format_word
 
 
-class IntMatrix:
-    """Immutable rectangular matrix over Z."""
+class IntMatrix(_Record):
+    """Immutable rectangular matrix over Z.  Its fields are ``cols`` and
+    ``data``; the row count ``rows`` is a slot read off ``data``."""
 
     __slots__ = ("rows", "cols", "data")
+    cols: int
+    data: tuple[tuple[int, ...], ...]
 
     def __init__(self, data: Iterable[Iterable[int]], cols: int | None = None):
         rows = tuple(map(tuple, data))
@@ -34,12 +37,9 @@ class IntMatrix:
             if not {int}.issuperset(map(type, row)):
                 bad = next(entry for entry in row if type(entry) is not int)
                 raise ValueError(f"non-integer entry {bad!r}")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "data", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
+        _setattr(self, "rows", len(rows))
+        _setattr(self, "cols", ncols)
+        _setattr(self, "data", rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -92,12 +92,6 @@ class IntMatrix:
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntMatrix) and self.cols == other.cols and self.data == other.data
-
-    def __hash__(self) -> int:
-        return hash((self.cols, self.data))
-
     def __repr__(self) -> str:
         return f"IntMatrix({format_matrix(self)})"
 
@@ -107,8 +101,12 @@ def parse_matrix(text: str) -> IntMatrix:
     import ast  # here, so that importing the package does not load the parser
     try:
         data = ast.literal_eval(text)
-    except (ValueError, SyntaxError) as exc:
+    except SyntaxError as exc:
         raise ValueError(f"bad matrix literal: {exc}") from None
+    except ValueError:
+        # literal_eval names the offending node by its repr, which holds a
+        # memory address that changes from run to run
+        raise ValueError(f"bad matrix literal: {text!r} is not a list of integer rows") from None
     # a dict or set row would read in key or hash order, an int none at all
     if not isinstance(data, (list, tuple)) or not all(isinstance(row, (list, tuple))
                                                        for row in data):

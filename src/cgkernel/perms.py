@@ -7,6 +7,8 @@ from __future__ import annotations
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from operator import itemgetter
 
+from .words import _Record, _setattr
+
 # closure returns every element as a Permutation; degree 8 (40,320
 # elements) bounds that set, not the orbits that coset tables walk
 MAX_CLOSURE_DEGREE = 8
@@ -20,21 +22,20 @@ class CosetLimitExceeded(RuntimeError):
     limit."""
 
 
-class Permutation:
-    """Bijection of {1..n}; composition is diagrammatic (p then q)."""
+class Permutation(_Record):
+    """Bijection of {1..n}; composition is diagrammatic (p then q).  Its one
+    field is ``mapping``; the degree ``n`` is a slot read off it."""
 
     __slots__ = ("n", "mapping")
+    mapping: tuple[int, ...]
 
     def __init__(self, mapping: Sequence[int]):
         mapping = tuple(mapping)
         n = len(mapping)
         if sorted(mapping) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection of 1..{n}: {mapping}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mapping", mapping)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
+        _setattr(self, "n", n)
+        _setattr(self, "mapping", mapping)
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -80,12 +81,6 @@ class Permutation:
             if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.mapping == other.mapping
-
-    def __hash__(self) -> int:
-        return hash(self.mapping)
 
     def __repr__(self) -> str:
         return f"Permutation({format_cycles(self)!r}, n={self.n})"

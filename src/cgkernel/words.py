@@ -49,24 +49,33 @@ _setattr = object.__setattr__
 
 
 class _Record:
-    """Base of the package's immutable records.
+    """Base of the package's immutable records and values.
 
     A record's fields are the names annotated in its own class body, in
-    order; a class attribute of the same name is that field's default (the
-    rule of a dataclass).  The base binds them from positional and keyword
-    arguments and then calls ``__post_init__``.  Records are equal when they
-    are of one class with equal field tuples, hash as that tuple, print as
-    ``Name(field=value, ...)``, and refuse assignment and deletion;
-    ``object.__setattr__`` still sets an attribute, for a ``__post_init__``
-    that normalises a field or a value cached on first need.
+    order; a class that annotates none keeps its base's fields.  A class
+    attribute of a field's name, other than the field's slot, is that
+    field's default (the rule of a dataclass).  The base binds fields from
+    positional and keyword arguments and then calls ``__post_init__``; a
+    value type with a checking ``__init__`` of its own sets them itself.
+    Records are equal when they are of one class with equal field values,
+    hash as those values, print as ``Name(field=value, ...)``, and refuse
+    assignment and deletion; ``object.__setattr__`` still sets an
+    attribute, for a value type's ``__init__``, a ``__post_init__`` that
+    normalises a field, or a value cached on first need.  A slot that no
+    annotation names is no field.
     """
 
+    __slots__ = ()
+
     def __init_subclass__(cls):
-        fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._fields = fields
-        cls._defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
-        # the field tuple: every record has two or more fields, and for two
-        # or more names attrgetter gives a tuple
+        namespace = cls.__dict__
+        if "__annotations__" not in namespace:
+            return  # no fields of its own: the base's fields stand
+        cls._fields = fields = tuple(namespace["__annotations__"])
+        slots = namespace.get("__slots__", ())
+        cls._defaults = {f: namespace[f] for f in fields if f in namespace and f not in slots}
+        # the field values: attrgetter gives a tuple for two or more names,
+        # and the value itself for one
         cls._values = staticmethod(attrgetter(*fields))
 
     def __init__(self, *args, **kwargs):
@@ -117,7 +126,7 @@ class _Record:
     __delattr__ = __setattr__
 
 
-class Word:
+class Word(_Record):
     """A freely reduced word in the free group of the given rank.
 
     Words are immutable values: equality is structural, and free reduction
@@ -127,6 +136,8 @@ class Word:
     """
 
     __slots__ = ("rank", "letters")
+    rank: int
+    letters: tuple[Letter, ...]
 
     def __init__(self, rank: int, letters: Iterable[Letter] = ()):
         if rank < 0:
@@ -137,19 +148,16 @@ class Word:
                 raise ValueError(f"generator index {idx} out of range for rank {rank}")
             if sign not in (1, -1):
                 raise ValueError(f"letter sign must be +1 or -1, got {sign}")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "letters", reduced)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        _setattr(self, "rank", rank)
+        _setattr(self, "letters", reduced)
 
     @classmethod
     def _reduced(cls, rank: int, letters: tuple[Letter, ...]) -> "Word":
         # a word from a letter tuple its caller has proved freely reduced,
         # with every generator in 1..rank and every sign +-1: no checks
         word = object.__new__(cls)
-        object.__setattr__(word, "rank", rank)
-        object.__setattr__(word, "letters", letters)
+        _setattr(word, "rank", rank)
+        _setattr(word, "letters", letters)
         return word
 
     @classmethod
@@ -205,16 +213,6 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and self.rank == other.rank
-            and self.letters == other.letters
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.letters))
 
     def __repr__(self) -> str:
         return f"Word({self.rank}, {format_word(self)!r})"

@@ -444,6 +444,15 @@ def test_fresh_process_snf_parses_its_matrix():
     assert proc.stdout.splitlines()[0] == "D = [[2,0,0],[0,2,0],[0,0,156]]"
 
 
+def test_a_matrix_literal_with_a_name_fails_the_same_way_every_run():
+    # the parser's own message names the offending node by its repr, with a
+    # memory address in it; two processes must print one message
+    runs = [fresh_cli("sl2word", "[[true,0],[0,1]]") for _ in range(2)]
+    assert [proc.returncode for proc in runs] == [2, 2]
+    assert runs[0].stderr == runs[1].stderr
+    assert runs[0].stderr.startswith("error: bad matrix literal") and "0x" not in runs[0].stderr
+
+
 @pytest.mark.parametrize("argv", [("snf", "[[2,4,4],[-6,6,12],[10,4,16]]"),
                                   ("verify", "--all", "--json")])
 def test_output_into_a_closed_pipe_exits_quietly(argv):

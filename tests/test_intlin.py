@@ -370,6 +370,94 @@ class TestSparseCokernel:
         assert seen == [([{1: 2}, {}, {0: -1, 2: 3}], 3)]
 
 
+# chain factors: 2^61 - 1 and 2^89 - 1 are primes, so a chain that takes
+# either passes 64 bits
+CHAIN_FACTORS = (1, 2, 3, 6, 2 ** 61 - 1, 2 ** 89 - 1)
+
+
+def planted_module(seed, k, extra):
+    """A badly presented Z^r + Z/d_1 + ... + Z/d_s, with d_1 | d_2 | ...:
+    sparse relation rows whose cokernel is that module by construction, so
+    the answer is known at any size (Havas, Holt and Rees, "Recognizing
+    badly presented Z-modules", 1993).  Returns (rows, ncols, answer).
+
+    The first generators are r free ones and one of order d_i for each
+    d_i, or two where d_i has an even and an odd part: of orders its power
+    of 2 and its odd part, a pair that is no divisibility chain.  Random
+    elementary column operations change their basis.  Each of k new
+    generators x is defined by a row x - sum c_j y_j over zero to three
+    generators made before it, with c_j in {+-1, +-2}, so it adds nothing;
+    each of ``extra`` rows is an integer combination of two to four rows
+    before it, so it lies in their span.  Then the columns and the rows are
+    shuffled."""
+    rng = random.Random(seed)
+    free_rank = rng.randint(0, 3)
+    torsion, d = [], rng.choice((2, 3, 4, 6))
+    for _ in range(rng.randint(1, 4)):
+        torsion.append(d)
+        d *= rng.choice(CHAIN_FACTORS)
+    orders = []
+    for d in torsion:
+        two = d & -d
+        orders += [two, d // two] if 1 < two < d else [d]
+    base = free_rank + len(orders)
+    rows = [{free_rank + i: d} for i, d in enumerate(orders)]
+    for _ in range(2 * base if base > 1 else 0):  # column q += c * column p
+        p, q = rng.sample(range(base), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for row in rows:
+            if p in row:
+                row[q] = row.get(q, 0) + c * row[p]
+                if not row[q]:
+                    del row[q]
+    for x in range(base, base + k):
+        terms = rng.sample(range(x), min(x, rng.randint(0, 3)))
+        rows.append({**{j: rng.choice((-2, -1, 1, 2)) for j in terms}, x: 1})
+    for _ in range(extra):
+        combo = {}
+        for row in rng.sample(rows, rng.randint(2, 4)):
+            a = rng.choice((-3, -2, -1, 1, 2, 3))
+            for j, y in row.items():
+                combo[j] = combo.get(j, 0) + a * y
+        rows.append({j: y for j, y in combo.items() if y})
+    ncols = base + k
+    relabel = rng.sample(range(ncols), ncols)
+    rows = [{relabel[j]: y for j, y in row.items()} for row in rows]
+    rng.shuffle(rows)
+    return rows, ncols, AbelianStructure(free_rank, tuple(torsion))
+
+
+def planted_case(seed):
+    """Tier-1's planted modules: 17 to 177 rows for seeds 0 to 23."""
+    return planted_module(seed, k=5 + 2 * seed, extra=10 + 5 * seed)
+
+
+class TestPlantedModules:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_the_planted_module_comes_back(self, seed):
+        rows, ncols, answer = planted_case(seed)
+        assert sparse_cokernel(rows, ncols) == answer
+
+    def test_the_cases_reach_every_stage(self, heaps, remainders):
+        # the Markowitz heap; a Smith remainder far taller than its rank, as
+        # the index-720 quotients leave one; torsion past 64 bits
+        answers = []
+        for rows, ncols, answer in map(planted_case, range(24)):
+            sparse_cokernel(rows, ncols)
+            answers.append(answer)
+        assert sum(1 for size in heaps if size) >= 20
+        assert sum(1 for a in remainders if a.rows >= 10 * rank_q(a)) >= 5
+        assert sum(1 for answer in answers if answer.torsion[-1] >= 2 ** 64) >= 5
+
+    @pytest.mark.slow
+    def test_a_planted_module_of_100000_rows(self):
+        # the seed's module: Z^2 + Z/d_1 + ... + Z/d_4, three d_i past 64 bits
+        rows, ncols, answer = planted_module(100_001, k=50_000, extra=50_000)
+        assert len(rows) > 100_000 and answer.free_rank == 2
+        assert sum(d >= 2 ** 64 for d in answer.torsion) == 3
+        assert sparse_cokernel(rows, ncols) == answer
+
+
 def rank_mod_p(rows, p):
     """Rank over F_p of sparse integer rows {column: entry}.  Its own short
     loop, sharing no code with sparse_cokernel (no heap, no union-find, no

@@ -1,5 +1,6 @@
-"""Packaging facts: the package runs on the standard library alone, and
-importing it loads no more of that library than it uses."""
+"""Packaging facts: the package runs on the standard library alone,
+importing it loads no more of that library than it uses, and one class
+alone writes immutability, equality and hashing."""
 
 import ast
 import os
@@ -36,6 +37,27 @@ def test_every_import_is_package_relative_or_standard_library():
             outside += [f"{path.name}: {name}" for name in names
                         if name.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_only_the_record_base_defines_immutability_equality_and_hashing():
+    # every record and value type inherits them from words._Record, by a
+    # def or by an assignment such as `__delattr__ = __setattr__`
+    special = {"__setattr__", "__delattr__", "__eq__", "__hash__"}
+    found = []
+    for path in sorted(pathlib.Path(cgkernel.__file__).parent.rglob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                found += [f"{path.name}: {cls.name}.{name}" for name in names if name in special]
+    assert sorted(found) == [f"words.py: _Record.{name}" for name in sorted(special)]
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_ast_or_typing():

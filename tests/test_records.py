@@ -2,14 +2,18 @@
 AbelianStructure, Presentation, SchreierTree, CosetTable, Config,
 CheckResult and GarsideNormalForm.  Their reprs are pinned as the classes
 they replace printed them (the frozen dataclasses, and GarsideNormalForm's
-own), and each record equals, and hashes as, its field tuple."""
+own), and each record equals, and hashes as, its field tuple.  The value
+types Word, BraidWord, Permutation and IntMatrix share the records' base,
+and keep the equality, hashes and slot layout they had before it."""
+
+import sys
 
 import pytest
 
-from cgkernel.braids import GarsideNormalForm, normal_form, parse_braid
+from cgkernel.braids import BraidWord, GarsideNormalForm, normal_form, parse_braid
 from cgkernel.checks import CheckResult, Config
 from cgkernel.fpgroups import Presentation, parse_presentation, todd_coxeter
-from cgkernel.intlin import AbelianStructure
+from cgkernel.intlin import AbelianStructure, IntMatrix
 from cgkernel.perms import DEFAULT_MAX_COSETS, Permutation
 from cgkernel.words import Aut, FreeHom, SemidirectElement, Word, _Record, transvection
 
@@ -96,6 +100,64 @@ class TestEveryRecord:
             delattr(record, fields[0])
 
 
+LETTERS = ((1, 1), (3, -1), (2, 1))
+
+# (build, the message that assignment and deletion raise)
+VALUES = {
+    "Word": (lambda: Word(3, LETTERS), "Word is immutable"),
+    "BraidWord": (lambda: BraidWord(4, LETTERS), "BraidWord is immutable"),
+    "Permutation": (lambda: Permutation((2, 3, 1)), "Permutation is immutable"),
+    "IntMatrix": (lambda: IntMatrix(((1, 2, 0), (0, 1, 5))), "IntMatrix is immutable"),
+}
+
+
+def slots(value):
+    return [name for cls in type(value).__mro__ for name in cls.__dict__.get("__slots__", ())]
+
+
+@pytest.mark.parametrize("name", list(VALUES))
+class TestEveryValueType:
+    def test_assignment_and_deletion_are_refused(self, name):
+        build, message = VALUES[name]
+        value = build()
+        for attr in slots(value) + ["unrelated"]:
+            with pytest.raises(AttributeError, match=f"^{message}$"):
+                setattr(value, attr, None)
+            with pytest.raises(AttributeError, match=f"^{message}$"):
+                delattr(value, attr)
+        assert value == build() and repr(value) == repr(build())
+
+    def test_slots_alone(self, name):
+        # no __dict__ and no __weakref__: as large as a plain object with
+        # the same slots
+        value = VALUES[name][0]()
+        plain = type("Plain", (), {"__slots__": tuple(slots(value))})()
+        assert not hasattr(value, "__dict__")
+        assert sys.getsizeof(value) == sys.getsizeof(plain)
+
+
+class TestValueTypeEqualityAndHashes:
+    def test_hashes(self):
+        w, bw = Word(3, LETTERS), BraidWord(4, LETTERS)
+        p, m = VALUES["Permutation"][0](), VALUES["IntMatrix"][0]()
+        assert hash(w) == hash((w.rank, w.letters)) == hash((3, LETTERS))
+        assert hash(bw) == hash((bw.rank, bw.letters)) == hash(w)
+        assert hash(p) == hash(p.mapping) == hash((2, 3, 1))
+        assert hash(m) == hash((m.cols, m.data)) == hash((3, ((1, 2, 0), (0, 1, 5))))
+
+    def test_every_field_counts(self):
+        # an empty matrix differs by its column count alone
+        assert IntMatrix((), cols=2) == IntMatrix((), cols=2) != IntMatrix((), cols=3)
+        assert Word(3, LETTERS) != Word(4, LETTERS)
+
+    def test_values_of_other_classes_are_unequal(self):
+        word, braid = Word(3, LETTERS), BraidWord(4, LETTERS)
+        assert word.letters == braid.letters and word.rank == braid.rank
+        assert word != braid and braid != word and not word == braid
+        assert Permutation((2, 1)) != (2, 1) and (2, 1) != Permutation((2, 1))
+        assert Word(2, ()) != (2, ()) and IntMatrix(((1,),)) != (1, ((1,),))
+
+
 class Pair(_Record):
     x: int
     y: int = 0
@@ -106,10 +168,30 @@ class Couple(_Record):
     y: int = 0
 
 
+class SlottedPair(_Record):
+    __slots__ = ("x", "y")
+    x: int
+    y: int
+
+
 class TestTheBase:
     def test_records_of_two_classes_with_equal_fields_are_unequal(self):
         assert Pair(1, 2) == Pair(1, 2) and Couple(1, 2) == Couple(1, 2)
         assert Pair(1, 2) != Couple(1, 2) and not Pair(1, 2) == Couple(1, 2)
+
+    def test_a_slot_is_no_default(self):
+        with pytest.raises(TypeError, match="missing argument 'y'"):
+            SlottedPair(1)
+        assert SlottedPair(1, 2) == SlottedPair(y=2, x=1)
+        assert not hasattr(SlottedPair(1, 2), "__dict__")
+
+    def test_a_subclass_that_annotates_nothing_keeps_its_base_fields(self):
+        class PairAgain(Pair):
+            pass
+
+        assert PairAgain(1) == PairAgain(x=1, y=0) != Pair(1)
+        assert hash(PairAgain(1, 2)) == hash((1, 2))
+        assert repr(PairAgain(1)).endswith("PairAgain(x=1, y=0)")
 
     def test_binding(self):
         assert Pair(1) == Pair(x=1) == Pair(1, 0) == Pair(y=0, x=1)
