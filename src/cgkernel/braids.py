@@ -15,7 +15,7 @@ from functools import cache
 from itertools import permutations
 
 from .perms import Permutation
-from .words import FreeHom, Letter, Word, _Record, compose
+from .words import FreeHom, Letter, Word, _Record, _tokens, compose
 
 MAX_STRANDS = 6
 HANDLE_STEPS = 1_000_000  # handle reductions before handle_reduce gives up
@@ -99,17 +99,8 @@ def parse_braid(text: str, n: int) -> BraidWord:
     """Parse ``s1 s2^-1 ...``; also expands the named abbreviations
     A12..A56 (pure generators), l2 l3 l4 (B_4 only), Delta, and center."""
     letters: list[Letter] = []
-    for token in text.split():
-        base, _, exp_part = token.partition("^")
-        exp = 1
-        if exp_part:
-            try:
-                exp = int(exp_part)
-            except ValueError:
-                raise ValueError(f"bad exponent in {token!r}") from None
-        if base == "1":
-            continue
-        elif base.startswith("s") and base[1:].isdigit():
+    for base, exp in _tokens(text):
+        if base.startswith("s") and base[1:].isdigit():
             i = int(base[1:])
             if not 1 <= i < n:
                 raise ValueError(f"generator s{i} out of range for B_{n}")
@@ -205,14 +196,12 @@ class GarsideNormalForm(_Record):
     factors: tuple[Permutation, ...]
 
     def __post_init__(self):
-        factors = tuple(self.factors)
         delta = Permutation(range(self.n, 0, -1))
-        for f in factors:
+        for f in self.factors:
             if f.n != self.n:
                 raise ValueError("factor degree mismatch")
             if f.is_identity() or f == delta:
                 raise ValueError("factors must be proper permutation braids")
-        object.__setattr__(self, "factors", factors)
 
     def is_trivial(self) -> bool:
         return self.delta_power == 0 and not self.factors

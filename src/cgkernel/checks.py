@@ -249,13 +249,8 @@ BETA_S_STR = "s1 s2^-1 s1^-1 s2^-1 s1^-1"
 
 def braid_lift(m: IntMatrix) -> BraidWord:
     """Some braid of B_4 whose homology action is exactly m (det 1)."""
-    beta_s = parse_braid(BETA_S_STR, 4)
-    beta_t = parse_braid(BETA_T_STR, 4)
-    out = BraidWord.identity(4)
-    for i, s in sl2_word(m).letters:
-        beta = beta_s if i == 1 else beta_t
-        out = out * (beta if s == 1 else beta.inverse())
-    return out
+    betas = FreeHom(2, 3, (parse_braid(BETA_S_STR, 4), parse_braid(BETA_T_STR, 4)))
+    return BraidWord(4, betas(sl2_word(m)).letters)
 
 
 def _monodromy_generator_matrices(n: int) -> list[IntMatrix]:
@@ -370,7 +365,7 @@ def _chk_xi_images(cfg: Config, table=XI_IMAGE_TABLE):
     a, b = f2_word()
     got = {"a": perms.format_cycles(braid_perm(a)), "b": perms.format_cycles(braid_perm(b))}
     klein = closure([braid_perm(a), braid_perm(b)])
-    s4 = closure([Permutation.transposition(4, i, i + 1) for i in (1, 2, 3)])
+    s4 = closure(strand_transpositions())
     facts = {"order": len(klein), "normal_in_S4": is_normal(klein, s4)}
     ok = (got == dict(table) and facts["order"] == 4 and facts["normal_in_S4"])
     return ok, {**dict(table), "order": 4, "normal_in_S4": True}, {**got, **facts}
@@ -512,7 +507,8 @@ def _chk_theta_kernel_gens(cfg: Config, table=THETA_IMAGE_TABLE):
 @_check("ell.braid_identities",
         "the three point-pushing braids equal their twist-generator products")
 def _chk_ell_identities(cfg: Config, table=ELL_IDENTITY_TABLE):
-    return _verdicts({f"l{i}": braid_equal(parse_braid(sigma_text, 4), parse_braid(a_text, 4))
+    return _verdicts({f"l{i}": braid_equal(ell_word(i), parse_braid(sigma_text, 4))
+                      and braid_equal(ell_word(i), parse_braid(a_text, 4))
                       for i, (sigma_text, a_text) in sorted(table.items())})
 
 
@@ -567,13 +563,13 @@ def _chk_ell_surjective(cfg: Config, table=ELL_THETA4_TABLE):
 
 @_check("prosec.cf_frobenius",
         "the B_4 -> B_3 epimorphism maps the fourth-strand-deletion kernel onto all of P_3")
-def _chk_cf_frobenius(cfg: Config):
+def _chk_cf_frobenius(cfg: Config, table=CF_IMAGE_TABLE):
     p3 = pure_braid3_presentation()
     for (p, q) in ((1, 4), (2, 4), (3, 4)):
         got = cardano_ferrari(pure_gen(p, q, 4))
-        if not braid_equal(got, parse_braid(CF_IMAGE_TABLE[(p, q)], 3)):
+        if not braid_equal(got, parse_braid(table[(p, q)], 3)):
             return False, {"index": 1}, {"error": f"image of A{p}{q} mismatch"}
-    subgens = [p3.word(CF_IMAGE_TABLE[(p, q)]) for (p, q) in ((1, 4), (2, 4), (3, 4))]
+    subgens = [p3.word(table[(p, q)]) for (p, q) in ((1, 4), (2, 4), (3, 4))]
     return _index(p3, subgens, 1, cfg)
 
 

@@ -119,11 +119,10 @@ def _cmd_verify(args) -> int:
         print(json.dumps([r.to_json() for r in results], indent=2))
     else:
         width = max(len(r.id) for r in results) if results else 0
-        show_detail = bool(args.check) or not all(r.passed for r in results)
         for r in results:
             status = "pass" if r.passed else "FAIL"
             print(f"{r.id:<{width}}  {status}  {r.elapsed * 1000:8.1f} ms  {r.paper_anchor}")
-            if show_detail and (args.check or not r.passed):
+            if args.check or not r.passed:
                 print(f"{'':<{width}}  expected: {r.expected}")
                 print(f"{'':<{width}}  actual:   {r.actual}")
         npass = sum(r.passed for r in results)

@@ -32,7 +32,7 @@ from itertools import count
 from .intlin import AbelianStructure, sparse_cokernel
 from .perms import (DEFAULT_MAX_COSETS, CosetLimitExceeded, Permutation, orbit,
                     regular_orbit)
-from .words import FreeHom, Word, _Record, default_names, format_word, parse_word
+from .words import FreeHom, Word, _Record, _inverse, default_names, format_word, parse_word
 
 
 class RelatorViolated(ValueError):
@@ -183,7 +183,7 @@ class CosetTable(_Record):
         reps = [()] * self.index
         for c in range(1, self.index):  # a parent is numbered below its child
             reps[c] = reps[tree.parent[c]] + (tree.letter[c],)
-        inverses = [tuple((i, -s) for i, s in reversed(r)) for r in reps]
+        inverses = [_inverse(r) for r in reps]
         return tuple(
             Word._reduced(ngens, reps[c] + ((g + 1, 1),) + inverses[columns[2 * g][c]])
             for c in range(self.index) for g in range(ngens) if tree.labels[c][g])
@@ -472,10 +472,6 @@ def coset_table_from_quotient(pres: Presentation, images: Sequence[Permutation],
     CosetLimitExceeded."""
     if len(images) != pres.ngens:
         raise ValueError("one image per generator")
-    deg = images[0].n
-    for g in images:
-        if g.n != deg:
-            raise ValueError("image degree mismatch")
     forward = regular_orbit(images, max_cosets)[1]
     # g^-1's column is the inverse permutation of g's: the cosets sorted by
     # their images under g.  Sorting one list shares its ints among columns.

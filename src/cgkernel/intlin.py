@@ -18,7 +18,8 @@ from .words import FreeHom, Word, _Record, _setattr, parse_word, format_word
 
 class IntMatrix(_Record):
     """Immutable rectangular matrix over Z.  Its fields are ``cols`` and
-    ``data``; the row count ``rows`` is a slot read off ``data``."""
+    ``data``; the row count ``rows`` is a slot read off ``data``.  A ``cols``
+    given with rows must be their length; with no rows it is the width."""
 
     __slots__ = ("rows", "cols", "data")
     cols: int
@@ -28,6 +29,8 @@ class IntMatrix(_Record):
         rows = tuple(map(tuple, data))
         if rows:
             ncols = len(rows[0])
+            if cols is not None and cols != ncols:
+                raise ValueError(f"cols={cols} disagrees with rows of length {ncols}")
         else:
             ncols = 0 if cols is None else cols
         for row in rows:
@@ -56,7 +59,7 @@ class IntMatrix(_Record):
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch {self.cols} vs {other.rows}")
-        ot = tuple(zip(*other.data)) if other.data else ()
+        ot = tuple(zip(*other.data)) if other.data else ((),) * other.cols
         return IntMatrix(
             tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
                   for row in self.data),
@@ -504,13 +507,10 @@ def sl2_word(m: IntMatrix) -> Word:
         applied.append((1, 1))
     # now c == 0 and a*d == 1
     letters: list[tuple[int, int]] = []
-    if a == 1:
-        if b != 0:
-            letters.extend([(2, 1 if b > 0 else -1)] * abs(b))
-    else:  # a == d == -1: matrix is S^2 * T^-b
+    if a == -1:  # a == d == -1: matrix is S^2 * T^-b
         letters.extend([(1, 1), (1, 1)])
-        if b != 0:
-            letters.extend([(2, -1 if b > 0 else 1)] * abs(b))
+        b = -b
+    letters.extend([(2, 1 if b > 0 else -1)] * abs(b))
     letters.extend((g, -s) for g, s in reversed(applied))
     word = Word(2, letters)
     if eval_st(word) != m:

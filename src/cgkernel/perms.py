@@ -148,8 +148,11 @@ def regular_orbit(gens: Sequence[Permutation], limit: int | None = None
     an itemgetter of the point, applied to every generator's mapping.  No
     Permutation is built.  The group is finite, so forward generators reach
     all of it, and a regular table needs no g^-1 walked: its column is the
-    inverse permutation of g's."""
+    inverse permutation of g's.  Generators of mixed degree raise
+    ValueError."""
     n = gens[0].n
+    if any(g.n != n for g in gens):
+        raise ValueError("degree mismatch among generators")
     if n < 2:  # the trivial group, whose one point an itemgetter cannot gather
         return orbit(tuple(range(1, n + 1)), lambda p: [p] * len(gens), limit)
     cols = [(0,) + g.mapping for g in gens]  # 1-based lookup: p * g is g[p[i]]
@@ -170,9 +173,6 @@ def closure(gens: Iterable[Permutation], degree: int | None = None) -> frozenset
         raise ValueError("degree disagrees with the generators")
     if n > MAX_CLOSURE_DEGREE:
         raise ValueError(f"degree {n} exceeds closure cap {MAX_CLOSURE_DEGREE}")
-    for g in gens:
-        if g.n != n:
-            raise ValueError("degree mismatch among generators")
     return frozenset(map(Permutation, regular_orbit(gens)[0]))
 
 

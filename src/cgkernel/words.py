@@ -8,7 +8,7 @@ matrix identity in :mod:`cgkernel.intlin` is calibrated to this convention.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import groupby
 from operator import attrgetter
 
@@ -57,9 +57,10 @@ class _Record:
     field's default (the rule of a dataclass).  The base binds fields from
     positional and keyword arguments and then calls ``__post_init__``; a
     value type with a checking ``__init__`` of its own sets them itself.
-    Records are equal when they are of one class with equal field values,
-    hash as those values, print as ``Name(field=value, ...)``, and refuse
-    assignment and deletion; ``object.__setattr__`` still sets an
+    The base stores a field given as a list as a tuple.  Records are equal
+    when they are of one class with equal field values, hash as those
+    values, print as ``Name(field=value, ...)``, and refuse assignment and
+    deletion; ``object.__setattr__`` still sets an
     attribute, for a value type's ``__init__``, a ``__post_init__`` that
     normalises a field, or a value cached on first need.  A slot that no
     annotation names is no field.
@@ -86,7 +87,7 @@ class _Record:
         # at once would make CPython keep a real dict per instance, and every
         # attribute read slower
         for name, value in zip(fields, args):
-            _setattr(self, name, value)
+            _setattr(self, name, tuple(value) if value.__class__ is list else value)
         self.__post_init__()
 
     @classmethod
@@ -224,6 +225,22 @@ def default_names(rank: int) -> tuple[str, ...]:
     return tuple(base + [f"x{i}" for i in range(3, rank + 1)])
 
 
+def _tokens(text: str) -> Iterator[tuple[str, int]]:
+    """The whitespace-separated tokens ``base^k`` of a word, as (base, k),
+    with k = 1 when no exponent is written.  ``1`` is the empty word, to any
+    power, and yields nothing."""
+    for token in text.split():
+        base, _, exp = token.partition("^")
+        k = 1
+        if exp:
+            try:
+                k = int(exp)
+            except ValueError:
+                raise ValueError(f"bad exponent in {token!r}") from None
+        if base != "1":
+            yield base, k
+
+
 def parse_word(text: str, rank: int, names: Sequence[str] | None = None) -> Word:
     """Parse whitespace-separated letters like ``b a^-1 b`` or ``B a^2``.
 
@@ -234,16 +251,7 @@ def parse_word(text: str, rank: int, names: Sequence[str] | None = None) -> Word
         names = default_names(rank)
     lookup = {nm: i + 1 for i, nm in enumerate(names)}
     letters: list[Letter] = []
-    for token in text.split():
-        if token == "1":
-            continue
-        base, _, exp_part = token.partition("^")
-        exp = 1
-        if exp_part:
-            try:
-                exp = int(exp_part)
-            except ValueError:
-                raise ValueError(f"bad exponent in token {token!r}") from None
+    for base, exp in _tokens(text):
         idx = lookup.get(base)
         sign = 1
         if idx is None and base.lower() in lookup and base != base.lower():
@@ -295,10 +303,8 @@ class FreeHom(_Record):
         return cls(rank, rank, tuple(Word.gen(rank, i) for i in range(1, rank + 1)))
 
     @classmethod
-    def from_strings(cls, src_rank: int, dst_rank: int, images: Sequence[str],
-                     names: Sequence[str] | None = None) -> "FreeHom":
-        return cls(src_rank, dst_rank,
-                   tuple(parse_word(s, dst_rank, names) for s in images))
+    def from_strings(cls, src_rank: int, dst_rank: int, images: Sequence[str]) -> "FreeHom":
+        return cls(src_rank, dst_rank, tuple(parse_word(s, dst_rank) for s in images))
 
     def __call__(self, w: Word) -> Word:
         """The image of w, built by joining the images of its letters as whole

@@ -2,16 +2,19 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
-from cgkernel import checks, words
+from cgkernel import braids, checks, words
+from cgkernel.braids import BraidWord, braid_action, parse_braid, pure_gen
 from cgkernel.checks import (CHECK_IDS, Config, UnknownCheck, run_all,
                              run_check)
 from cgkernel.fpgroups import (CosetLimitExceeded, coset_table_from_quotient,
                                sl2z_presentation)
+from cgkernel.intlin import IntMatrix, eval_st, hom_matrix
 from cgkernel.perms import DEFAULT_MAX_COSETS
-from cgkernel.words import SemidirectElement, format_word
+from cgkernel.words import SemidirectElement, Word, format_word
 
 
 def test_registry_has_stable_ids():
@@ -241,6 +244,8 @@ def test_free_group_quotient_tables_honour_the_coset_limit(cold_caches):
     # index 1: only the check of the row itself can fail
     ("thmsec.theta_pairs_surjective", checks.THETA_IMAGE_TABLE, (4, 1, 3), "A13^-1", True),
     ("thmsec.ell_surjective", checks.ELL_THETA4_TABLE, 2, "A13 A23", False),
+    # the epimorphism sends A14 to A23, not A13
+    ("prosec.cf_frobenius", checks.CF_IMAGE_TABLE, (1, 4), "A13", False),
 ])
 def test_surjectivity_checks_read_their_images_from_the_table(check_id, table, key, value,
                                                               same_evidence):
@@ -248,3 +253,34 @@ def test_surjectivity_checks_read_their_images_from_the_table(check_id, table, k
     broken = run_check(check_id, table={**table, key: value})
     assert clean.passed and not broken.passed
     assert ((broken.expected, broken.actual) == (clean.expected, clean.actual)) == same_evidence
+
+
+@pytest.mark.parametrize("check_id", ["ell.braid_identities", "ell.psi_minus_identity",
+                                      "ell.theta4_images"])
+def test_the_point_pushing_checks_read_the_point_pushing_braids(monkeypatch, check_id):
+    # each l_i times A12 is still pure, so only a check that reads the
+    # braid itself can see the difference
+    assert run_check(check_id).passed
+    monkeypatch.setattr(checks, "ell_word", lambda i: braids.ell_word(i) * pure_gen(1, 2, 4))
+    assert not run_check(check_id).passed
+
+
+def test_braid_lift_realises_every_matrix():
+    # seeded S/T words, and the matrices at the ends of sl2_word's cases:
+    # the identity, -I, and S^2 times a power of T
+    rng = random.Random(5)
+    beta_s = parse_braid(checks.BETA_S_STR, 4)
+    beta_t = parse_braid(checks.BETA_T_STR, 4)
+    mats = [IntMatrix.identity(2), IntMatrix(((-1, 0), (0, -1))), IntMatrix(((-1, 4), (0, -1)))]
+    for _ in range(40):
+        mats.append(eval_st(Word(2, [(rng.randint(1, 2), rng.choice((1, -1)))
+                                     for _ in range(rng.randint(0, 12))])))
+    for m in mats:
+        lift = checks.braid_lift(m)
+        assert type(lift) is BraidWord and lift.n == 4
+        assert hom_matrix(braid_action(lift)) == m
+        # the lift is the product of the braids for S and T, letter by letter
+        want = BraidWord.identity(4)
+        for i, sign in checks.sl2_word(m).letters:
+            want = want * (beta_s if i == 1 else beta_t) ** sign
+        assert lift == want

@@ -668,6 +668,12 @@ class TestSL2Words:
     def test_word_for_minus_identity(self):
         assert format_st(sl2_word(IntMatrix(((-1, 0), (0, -1))))) == "s^2"
 
+    @pytest.mark.parametrize("a, b, text", [
+        (1, 3, "t^3"), (1, -3, "t^-3"), (-1, 3, "s^2 t^-3"), (-1, -3, "s^2 t^3")])
+    def test_word_for_upper_triangular(self, a, b, text):
+        m = IntMatrix(((a, b), (0, a)))
+        assert format_st(sl2_word(m)) == text and eval_st(parse_st(text)) == m
+
     def test_word_for_lower_triangular(self):
         m = IntMatrix(((1, 0), (-2, 1)))
         assert eval_st(sl2_word(m)) == m
@@ -738,6 +744,17 @@ class TestMatrixBasics:
             parse_matrix("[[1.5,0],[0,1]]")
         with pytest.raises(ValueError):
             IntMatrix(((1, 2), (3,)))
+
+    def test_a_column_count_must_agree_with_the_rows(self):
+        with pytest.raises(ValueError, match=r"^cols=3 disagrees with rows of length 2$"):
+            IntMatrix([[1, 2]], cols=3)
+        assert IntMatrix([[1, 2]], cols=2) == IntMatrix([[1, 2]])
+        assert IntMatrix((), cols=3).cols == 3
+
+    def test_a_product_through_zero_dimensions_is_zero(self):
+        # a 2x0 matrix times a 0x3 matrix is the 2x3 zero matrix
+        assert IntMatrix.zero(2, 0) * IntMatrix((), cols=3) == IntMatrix.zero(2, 3)
+        assert IntMatrix((), cols=0) * IntMatrix((), cols=2) == IntMatrix((), cols=2)
 
     def test_determinant(self):
         rng = random.Random(4)

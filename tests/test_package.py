@@ -3,6 +3,7 @@ importing it loads no more of that library than it uses, and one class
 alone writes immutability, equality and hashing."""
 
 import ast
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -11,6 +12,7 @@ import sys
 import cgkernel
 
 SRC = pathlib.Path(cgkernel.__file__).parents[1]
+CODE_LINES = pathlib.Path(__file__).parents[1] / "tools" / "code_lines.py"
 
 
 def fresh_python(*args):
@@ -70,3 +72,60 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_ast_or_typing():
     added = set(proc.stdout.split())
     assert "cgkernel.cli" in added
     assert sorted(added & {"dataclasses", "inspect", "ast", "typing"}) == []
+
+
+def load_code_lines():
+    spec = importlib.util.spec_from_file_location("code_lines", CODE_LINES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+FIXTURE = '''"""A module docstring
+over two lines."""
+# a comment line
+
+import os  # a comment after code
+
+
+def f(x):
+    """A function docstring."""
+    s = """a string that is
+no docstring"""
+    return (x +
+            1)
+
+
+class C:
+    "a class docstring"
+    y = [
+
+    ]
+'''
+
+
+def test_code_lines_count_tokens_outside_comments_and_docstrings():
+    # import, def, both lines of the string and of the return, class, and
+    # the two lines of the list but not the blank line between them
+    counted = [5, 8, 10, 11, 12, 13, 16, 18, 20]
+    lines = FIXTURE.splitlines()
+    assert [lines[k - 1].split()[0] for k in counted] == \
+        ["import", "def", "s", "no", "return", "1)", "class", "y", "]"]
+    assert load_code_lines().code_lines(FIXTURE) == len(counted)
+    assert load_code_lines().code_lines("") == 0
+
+
+def test_code_lines_total_is_the_sum_of_the_modules(tmp_path):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "a.py").write_text("x = 1\n", encoding="utf-8")
+    (tmp_path / "sub" / "b.py").write_text(FIXTURE, encoding="utf-8")
+    (tmp_path / "notes.txt").write_text("x = 1\n", encoding="utf-8")
+    code_lines = load_code_lines().code_lines
+    for target in (tmp_path, SRC / "cgkernel"):
+        proc = subprocess.run([sys.executable, str(CODE_LINES), str(target)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        *modules, (total, label) = [line.split(maxsplit=1) for line in proc.stdout.splitlines()]
+        assert label == "total" and int(total) == sum(int(n) for n, _ in modules)
+        assert {path: int(n) for n, path in modules} == {
+            str(m): code_lines(m.read_text(encoding="utf-8")) for m in target.rglob("*.py")}

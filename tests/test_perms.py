@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from cgkernel.fpgroups import coset_table_from_quotient, sl2z_presentation
 from cgkernel.perms import (CosetLimitExceeded, Permutation, closure,
                             format_cycles, is_normal, orbit, parse_cycles,
                             quotient_map_s4_to_s3, regular_orbit)
@@ -110,6 +111,26 @@ def test_regular_orbit_limit_is_the_group_order():
     assert (points, columns) == regular_orbit(gens)
     with pytest.raises(CosetLimitExceeded):
         regular_orbit(gens, limit=23)
+
+
+@pytest.mark.parametrize("second", ["(1,2)(3,4)", "(1,2)"])
+def test_regular_orbit_refuses_generators_of_mixed_degree(second):
+    # a 3-cycle of degree 3 and a permutation of degree 4: the gather either
+    # runs past the end of the degree-3 point or walks a degree-3 orbit
+    gens = [p("(1,2,3)", 3), p(second)]
+    with pytest.raises(ValueError, match=r"^degree mismatch among generators$"):
+        regular_orbit(gens)
+
+
+def test_every_walk_over_a_regular_action_refuses_mixed_degrees_alike():
+    gens = [p("(1,2,3)", 3), p("(1,2)")]
+    messages = set()
+    for walk in (lambda: regular_orbit(gens), lambda: closure(gens),
+                 lambda: coset_table_from_quotient(sl2z_presentation(), gens)):
+        with pytest.raises(ValueError) as err:
+            walk()
+        messages.add(str(err.value))
+    assert messages == {"degree mismatch among generators"}
 
 
 @pytest.mark.parametrize("n", [0, 1])

@@ -222,6 +222,25 @@ class TestConfig:
             Config(max_cosets=0)
 
 
+class TestListFields:
+    @pytest.mark.parametrize("build", [
+        lambda seq: FreeHom(2, 2, seq([a, b])),
+        lambda seq: FreeHom(src_rank=2, dst_rank=2, images=seq([a, b])),
+        lambda seq: SemidirectElement(3, seq([a]), seq([b]), Aut.identity(2)),
+        lambda seq: AbelianStructure(1, seq([2])),
+        lambda seq: AbelianStructure(1, torsion=seq([2])),
+        lambda seq: GarsideNormalForm(3, 1, seq([Permutation((2, 1, 3))])),
+        lambda seq: Config(check_filter=seq(["k4.*"])),
+    ], ids=["FreeHom", "FreeHom-keywords", "SemidirectElement", "AbelianStructure",
+            "AbelianStructure-keyword", "GarsideNormalForm", "Config"])
+    def test_a_list_field_is_stored_as_a_tuple(self, build):
+        from_list, from_tuple = build(list), build(tuple)
+        assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+        assert repr(from_list) == repr(from_tuple)
+        assert all(type(getattr(from_list, f)) is type(getattr(from_tuple, f))
+                   for f in from_list._fields)
+
+
 class TestPostInit:
     def test_every_validation_error(self):
         ident = Aut.identity(2)

@@ -7,8 +7,9 @@ import pytest
 from cgkernel.words import (Aut, FreeHom, SemidirectElement, Word, _reduce,
                             compose, format_word, parse_word, transvection,
                             verify_automorphism)
-from cgkernel.braids import MAX_STRANDS, BraidWord
-from cgkernel.intlin import IntMatrix, hom_matrix, rank_q
+from cgkernel.braids import MAX_STRANDS, BraidWord, parse_braid
+from cgkernel.fpgroups import parse_presentation
+from cgkernel.intlin import IntMatrix, hom_matrix, parse_st, rank_q
 
 
 def w(text, rank=2):
@@ -130,6 +131,31 @@ class TestWord:
             parse_word("c", 2)
         with pytest.raises(ValueError):
             parse_word("a^x", 2)
+
+    def test_one_to_any_power_is_the_empty_word(self):
+        assert parse_word("1^3 a^2", 2) == parse_word("a a", 2)
+        assert parse_word("1^-2 1 1^0", 2) == Word.identity(2)
+        assert parse_braid("1^2 s1", 3) == parse_braid("s1", 3)
+
+
+class TestOneGrammar:
+    """Every word parser reads its tokens through one reader."""
+
+    PARSERS = {
+        "word": lambda text: parse_word(text, 2),
+        "braid": lambda text: parse_braid(text, 3),
+        "st": parse_st,
+        "relator": lambda text: parse_presentation(f"gens: a b\nrel: {text}"),
+    }
+
+    @pytest.mark.parametrize("kind, token", [
+        ("word", "a^x"), ("braid", "s1^x"), ("st", "t^1.5"), ("relator", "b^-"),
+        ("word", "1^x"), ("braid", "1^x"),
+    ])
+    def test_a_bad_exponent_gives_one_message(self, kind, token):
+        with pytest.raises(ValueError) as err:
+            self.PARSERS[kind](f"1 {token}")
+        assert str(err.value) == f"bad exponent in {token!r}"
 
     def test_cyclic_reduction(self):
         assert w("a b a^-1").cyclically_reduced() == w("b")
