@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import count
+from operator import itemgetter
 
 from .intlin import AbelianStructure, sparse_cokernel
 from .perms import (DEFAULT_MAX_COSETS, CosetLimitExceeded, Permutation, orbit,
@@ -210,7 +211,7 @@ class CosetTable(_Record):
         n = len(columns[0])
         if not n:
             raise AssertionError("table has no cosets")
-        ident = list(range(n))
+        ident = tuple(range(n))
         # inv . col = id puts every coset among inv's n entries (even where a
         # negative entry of col indexes inv from the end), so inv permutes the
         # cosets; col . inv = id then shows that col does too.  An involution's
@@ -218,8 +219,8 @@ class CosetTable(_Record):
         for x in range(0, ncols, 2):
             col, inv = columns[x], columns[x + 1]
             try:
-                ok = ([inv[d] for d in col] == ident
-                      and (inv is col or [col[d] for d in inv] == ident))
+                ok = (_gather(col, inv) == ident
+                      and (inv is col or _gather(inv, col) == ident))
             except (IndexError, TypeError):  # an entry past the end or not an int
                 ok = False
             if not ok:
@@ -231,20 +232,30 @@ class CosetTable(_Record):
             k = len(cols)
             if not k:
                 continue  # the empty relator closes everywhere
+            if k == 2 and cols[0] == cols[1] and columns[cols[0]] is columns[cols[0] ^ 1]:
+                continue  # g^2 of an involution: col . col = id was proved above
             p = next(p for p in range(1, k + 1) if k % p == 0 and cols[:p] * (k // p) == cols)
-            perm = list(columns[cols[0]])  # a list, to compare with ident
+            perm = tuple(columns[cols[0]])  # a tuple, to compare with ident
             for x in cols[1:p]:
-                col = columns[x]
-                perm = [col[d] for d in perm]
+                perm = _gather(perm, columns[x])
             image = perm
             for _ in range(k // p - 1):
-                image = [perm[d] for d in image]
+                image = _gather(image, perm)
             if image != ident:
                 c = next(c for c in ident if image[c] != c)
                 raise AssertionError(f"relator open at coset {c}")
         for w in self.subgroup_gens:
             if self.trace(0, w) != 0:
                 raise AssertionError("subgroup generator does not fix coset 0")
+
+
+def _gather(idx: Sequence[int], seq: Sequence[int]) -> tuple[int, ...]:
+    # (seq[i] for i in idx) as a tuple, in one C-level call: the composition
+    # idx then seq.  An itemgetter of one index returns the item itself.
+    return itemgetter(*idx)(seq) if len(idx) != 1 else (seq[idx[0]],)
+
+
+_BLOCK = 512  # blank rows added to the columns at a time
 
 
 def todd_coxeter(pres: Presentation, subgens: Sequence[Word],
@@ -264,9 +275,11 @@ def todd_coxeter(pres: Presentation, subgens: Sequence[Word],
     so its two columns are one list, and each of its edges is stored and
     scanned once.
 
-    ``max_cosets`` bounds the rows held.  When a definition would pass it,
-    the rows of merged cosets are compacted away first; if the live cosets
-    alone fill the limit, the enumeration aborts with CosetLimitExceeded.
+    The columns grow in blocks of blank rows, never past ``max_cosets``,
+    and ``max_cosets`` still bounds the rows defined.  When a definition
+    would pass it, the rows of merged cosets are compacted away first; if
+    the live cosets alone fill the limit, the enumeration aborts with
+    CosetLimitExceeded.
     The finished table is in standard numbering and is validated.  It is
     renumbered breadth first only when a coincidence or a subgroup
     generator's definitions may have left it out of that order.
@@ -285,6 +298,7 @@ def todd_coxeter(pres: Presentation, subgens: Sequence[Word],
     # table[x] is table[canon[x]]
     canon = [x & ~1 if x // 2 in involutions else x for x in range(ncols)]
     xs = sorted(set(canon))  # the distinct columns
+    distinct = [table[x] for x in xs]  # kept in place, grown and compacted
     parent = [0]  # union-find over rows; a merged row points at a lower one
     # entries c * width + x whose loops are not yet scanned: column x, or for
     # x >= ncols subgroup generator x - ncols at coset 0, generator 0 on top
@@ -326,7 +340,10 @@ def todd_coxeter(pres: Presentation, subgens: Sequence[Word],
 
     def merge(k: int, l: int, queue: list[int]) -> None:
         nonlocal nlive
-        k, l = rep(k), rep(l)
+        if parent[k] != k:
+            k = rep(k)
+        if parent[l] != l:
+            l = rep(l)
         if k != l:
             lo, hi = min(k, l), max(k, l)
             parent[hi] = lo
@@ -348,7 +365,8 @@ def todd_coxeter(pres: Presentation, subgens: Sequence[Word],
                     continue
                 inv = table[x ^ 1]
                 inv[d] = -1
-                mu, nu = rep(dead), rep(d)
+                mu = rep(dead)  # dead itself is merged
+                nu = d if parent[d] == d else rep(d)
                 if col[mu] >= 0:
                     merge(nu, col[mu], queue)
                 elif inv[nu] >= 0:
@@ -404,8 +422,10 @@ def todd_coxeter(pres: Presentation, subgens: Sequence[Word],
                 raise CosetLimitExceeded(f"enumeration exceeded {max_cosets} cosets")
         b = len(parent)
         parent.append(b)
-        for y in xs:
-            table[y].append(-1)
+        if b == len(table[x]):  # every row is in use: add a block of blanks
+            blanks = [-1] * min(_BLOCK, max_cosets - b)
+            for col in distinct:
+                col += blanks
         table[x][c] = b
         table[x ^ 1][b] = c
         nlive += 1
@@ -420,8 +440,7 @@ def todd_coxeter(pres: Presentation, subgens: Sequence[Word],
         new = [-1] * (len(parent) + 1)  # new[-1] keeps blanks blank
         for i, k in enumerate(live):
             new[k] = i
-        for x in xs:
-            col = table[x]
+        for col in distinct:
             col[:] = [new[col[k]] for k in live]
         parent[:] = range(len(live))
         return new
@@ -429,18 +448,20 @@ def todd_coxeter(pres: Presentation, subgens: Sequence[Word],
     process()
     if len(parent) > 1:  # the subgroup generators defined cosets
         standard = False
-    c, x = 0, 0
+    # the first blank: an involution's two columns are one list, so the
+    # distinct columns hold every blank, and in column order
+    c, k, nxs = 0, 0, len(xs)
     while True:
         while c < len(parent):
             if parent[c] == c:
-                while x < ncols and table[x][c] >= 0:
-                    x += 1
-                if x < ncols:
+                while k < nxs and distinct[k][c] >= 0:
+                    k += 1
+                if k < nxs:
                     break
-            c, x = c + 1, 0
+            c, k = c + 1, 0
         else:
             break
-        c = define(c, x)
+        c = define(c, xs[k])
         process()
 
     if standard:
@@ -449,7 +470,10 @@ def todd_coxeter(pres: Presentation, subgens: Sequence[Word],
         # and entries never change without a coincidence.  So the cosets
         # first appear in row-major order in increasing order, which is the
         # order a breadth-first walk from coset 0 numbers them in.  The two
-        # columns of an involution stay one tuple.
+        # columns of an involution stay one tuple.  The block's unused
+        # blanks are cut off first.
+        for col in distinct:
+            del col[len(parent):]
         frozen = {x: tuple(table[x]) for x in xs}
         columns = tuple(frozen[x] for x in canon)
     else:  # standard numbering: breadth first from coset 0, columns in order

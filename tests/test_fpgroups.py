@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,8 @@ from cgkernel.fpgroups import (CosetLimitExceeded, CosetTable, Presentation, Rel
                                rewrite_in_subgroup, sl2z_presentation,
                                subgroup_abelianization, todd_coxeter)
 from cgkernel.intlin import AbelianStructure, IntMatrix, cokernel
-from cgkernel.perms import Permutation, orbit, parse_cycles, quotient_map_s4_to_s3
+from cgkernel.perms import (DEFAULT_MAX_COSETS, Permutation, orbit, parse_cycles,
+                            quotient_map_s4_to_s3)
 from cgkernel.subgroups import from_quotient
 from cgkernel.words import Word, format_word, parse_word
 
@@ -294,7 +296,12 @@ class TestToddCoxeter:
 
     def test_limit_bounds_rows_held(self):
         pres = symmetric_coxeter(7)
-        assert todd_coxeter(pres, [], max_cosets=5040).index == 5040
+        # the columns grow in blocks; the limit and the default limit each
+        # leave unused blanks that the frozen table must not hold
+        for limit in (5040, 5041, DEFAULT_MAX_COSETS):
+            ct = todd_coxeter(pres, [], max_cosets=limit)
+            assert ct.index == 5040
+            assert all(len(col) == ct.index for col in ct.columns)
         with pytest.raises(CosetLimitExceeded):
             todd_coxeter(pres, [], max_cosets=5039)
         gens = [Word.gen(6, i) for i in range(1, 7)]
@@ -306,7 +313,23 @@ class TestToddCoxeter:
         # F(2,7) is cyclic of order 29 (Brunner 1974).  Its
         # enumeration defines 33,239 rows in all, so it fits under a smaller
         # limit only if the rows of merged cosets are reused.
-        assert todd_coxeter(fibonacci(7), [], max_cosets=33_237).index == 29
+        ct = todd_coxeter(fibonacci(7), [], max_cosets=33_237)
+        assert ct.index == 29
+        assert all(len(col) == ct.index for col in ct.columns)
+
+    def test_limit_bounds_the_blank_rows_held(self):
+        # every generator of this presentation is trivial, so each one's
+        # definition is merged away again; with room for two rows the
+        # columns may never hold more, whatever the block size
+        ngens = 100
+        pres = Presentation(ngens, tuple(Word.gen(ngens, i) for i in range(1, ngens + 1)))
+        tracemalloc.start()
+        try:
+            assert todd_coxeter(pres, [], max_cosets=2).index == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000  # 0.11 MB; a block of 512 blanks per column takes 0.8 MB
 
     def test_index_invariant_under_relator_presentation_changes(self):
         rng = random.Random(0)
@@ -442,9 +465,35 @@ class TestValidate:
         (Presentation(1, ()), ((-1, 0), (1, 0))),
         (Presentation(1, ()), shared_columns((1, 2, 0))),
         (Presentation(1, ()), shared_columns((-1, 0))),
+        # one coset, where a gather of one index must still give a tuple
+        (Presentation(1, ()), ((1,), (0,))),
+        (Presentation(1, ()), ((0,), (-1,))),
     ])
     def test_columns_must_be_mutually_inverse_permutations(self, pres, table):
         with pytest.raises(AssertionError, match="permutation|invert"):
+            CosetTable(pres, (), table).validate()
+
+    @pytest.mark.parametrize("pres, table", [
+        (Presentation(1, (Word(1, [(1, 1)] * 2),)), ((0,), (0,))),
+        (Presentation(1, (Word(1, [(1, 1)] * 3), Word(1, [(1, -1)] * 5))), ((0,), (0,))),
+        (Presentation(1, (Word(1, [(1, 1)] * 2),)), shared_columns((0,))),
+        (Presentation(2, (Word(2, [(1, 1), (2, -1)] * 7),)), ((0,),) * 4),
+        (Presentation(1, (Word(1, [(1, 1)] * 2),)), shared_columns((1, 0))),
+    ])
+    def test_closed_tables_pass(self, pres, table):
+        CosetTable(pres, (), table).validate()
+
+    @pytest.mark.parametrize("pres, table", [
+        # g^2 over a 3-cycle, whose two columns are separate tuples: the
+        # column check does not prove it
+        (Presentation(1, (Word(1, [(1, 1)] * 2),)), one_generator_table([1, 2, 0])),
+        (Presentation(1, (Word(1, [(1, -1)] * 2),)), one_generator_table([1, 2, 0])),
+        # b^2 with b a 3-cycle, next to an involution a whose columns are one tuple
+        (Presentation(2, (Word(2, [(1, 1)] * 2), Word(2, [(2, 1)] * 2))),
+         shared_columns((1, 0, 2)) + one_generator_table([1, 2, 0])),
+    ])
+    def test_square_of_a_non_involution_is_traced(self, pres, table):
+        with pytest.raises(AssertionError, match="^relator open at coset 0$"):
             CosetTable(pres, (), table).validate()
 
     @pytest.mark.parametrize("columns", [
