@@ -47,11 +47,15 @@ class BraidWord(Word):
 
 
 def braid_perm(w: BraidWord) -> Permutation:
-    """Image in S_n: product of the transpositions (i, i+1) in word order."""
-    p = Permutation.identity(w.n)
-    for idx, _ in w.letters:
-        p = p * Permutation.transposition(w.n, idx, idx + 1)
-    return p
+    """Image in S_n: product of the transpositions (i, i+1) in word order.
+
+    One pass over a list: s_i * p swaps positions i and i+1 of p's one-line
+    notation, so the product is built from the last letter back, and one
+    Permutation is made at the end."""
+    m = list(range(1, w.n + 1))
+    for idx, _ in reversed(w.letters):
+        m[idx - 1], m[idx] = m[idx], m[idx - 1]
+    return Permutation(m)
 
 
 def pure_gen(p: int, q: int, n: int) -> BraidWord:
@@ -143,10 +147,10 @@ def format_braid(w: BraidWord) -> str:
 
 class _SimpleTable:
     """Products with the generators, starting/finishing bitmasks (bit i for
-    s_i) and conjugates by the half twist of the permutation braids of B_n,
-    indexed by code."""
+    s_i), conjugates by the half twist and Permutations of the permutation
+    braids of B_n, indexed by code, and the lowest set bit of every bitmask."""
 
-    __slots__ = ("perms", "code", "right", "left", "start", "finish", "tau", "delta")
+    __slots__ = ("perms", "code", "right", "left", "start", "finish", "tau", "delta", "lowest")
 
     def __init__(self, n: int):
         perms = list(permutations(range(1, n + 1)))
@@ -169,12 +173,16 @@ class _SimpleTable:
             left.append(s_x)
             start.append(sum(1 << i for i in range(1, n) if p[i - 1] > p[i]))
             finish.append(sum(1 << i for i in range(1, n) if pos[i] > pos[i + 1]))
-        self.perms, self.code = perms, code
+        # built and checked once: every normal form's factors are these objects
+        self.perms = [Permutation(p) for p in perms]
+        self.code = code
         self.right, self.left = right, left
         self.start, self.finish = start, finish
         # Delta^-1 x Delta: i -> n+1-x(n+1-i), so s_i <-> s_(n-i)
         self.tau = [code[tuple(n + 1 - v for v in reversed(p))] for p in perms]
         self.delta = len(perms) - 1
+        # lowest[m]: the lowest generator in the bitmask m (bit 0 is never set)
+        self.lowest = [0] + [(m & -m).bit_length() - 1 for m in range(1, 1 << n)]
 
 
 _SIMPLE_TABLES: dict[int, _SimpleTable] = {}
@@ -196,11 +204,12 @@ class GarsideNormalForm(_Record):
     factors: tuple[Permutation, ...]
 
     def __post_init__(self):
-        delta = Permutation(range(self.n, 0, -1))
+        n = self.n
+        improper = (tuple(range(1, n + 1)), tuple(range(n, 0, -1)))
         for f in self.factors:
-            if f.n != self.n:
+            if f.n != n:
                 raise ValueError("factor degree mismatch")
-            if f.is_identity() or f == delta:
+            if f.mapping in improper:
                 raise ValueError("factors must be proper permutation braids")
 
     def is_trivial(self) -> bool:
@@ -226,42 +235,54 @@ def _perm_letters(p: Permutation) -> list[Letter]:
     letters = []
     c = t.code[p.mapping]
     while c:
-        start = t.start[c]
-        i = (start & -start).bit_length() - 1
+        i = t.lowest[t.start[c]]
         letters.append((i, 1))
         c = t.left[c][i]
     return letters
 
 
 def normal_form(w: BraidWord) -> GarsideNormalForm:
-    """Left-greedy normal form.
+    """Left-greedy normal form (Epstein et al., *Word Processing in Groups*,
+    1992, ch. 9).
 
     The word is rewritten as Delta^-N times one permutation braid per letter,
     N being the number of negative letters: s_i stays s_i and s_i^-1 becomes
     Delta * s_i^-1, each conjugated by Delta when an odd number of negative
     letters follows it.  The factors are kept left-weighted as they are
     appended: a single right-to-left pass transfers starting generators of
-    each factor into its predecessor and stops at the first pair that is
-    already left-weighted.  A factor that is or becomes the half twist is
-    taken out where it stands, by f * Delta = Delta * tau(f) with tau the
-    conjugation by Delta: the factors before it are replaced by their
+    each factor into its predecessor, the lowest first, and stops at the
+    first pair that is already left-weighted.  A factor that is or becomes
+    the half twist is taken out where it stands, by f * Delta = Delta * tau(f)
+    with tau the conjugation by Delta: the factors before it become their
     conjugates, the power goes up by one and the pass ends, since tau keeps
     pairs left-weighted and (tau(f), g) is the pair the half twist would
     leave behind on its way to the front.
+
+    tau is an involution (Delta^2 is central), so the factors are stored
+    relative to one parity: a stored code is its factor while the parity is
+    even and the factor's conjugate while it is odd.  tau maps the tables
+    onto themselves and a pair has one left-weighted form, so the pass runs
+    on stored codes as they are.  A letter is stored translated through the
+    parity; taking out a half twist flips the parity, which conjugates every
+    factor before it at once, and re-stores the factors after it, which the
+    pass has just walked.  The factors are the table's shared Permutations.
     """
     n = w.n
     t = _simples(n)
     right, left, start, finish, tau = t.right, t.left, t.start, t.finish, t.tau
-    delta = t.delta
-    after = sum(1 for _, sign in w.letters if sign < 0)  # negative letters still to come
-    power = -after
-    factors: list[int] = []  # left-weighted, none of them Delta
+    lowest, delta = t.lowest, t.delta
+    positive, negative = left[0], right[delta]  # s_i and Delta * s_i^-1
+    power = -sum(1 for _, sign in w.letters if sign < 0)
+    # odd while a stored code is the conjugate of its factor: the negative
+    # letters still to come plus the half twists taken out, mod 2
+    parity = power & 1
+    factors: list[int] = []  # stored codes, left-weighted, none of them Delta
     for idx, sign in w.letters:
-        if sign < 0:
-            after -= 1
-        if after & 1:
-            idx = n - idx  # conjugation by Delta swaps s_i and s_(n-i)
-        y = left[0][idx] if sign > 0 else right[delta][idx]  # s_idx or Delta * s_idx^-1
+        if sign > 0:
+            y = positive[n - idx if parity else idx]
+        else:
+            parity ^= 1
+            y = negative[n - idx if parity else idx]
         j = len(factors)
         factors.append(y)
         while j and y != delta:
@@ -270,7 +291,7 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
             if not todo:
                 break
             while todo:
-                i = (todo & -todo).bit_length() - 1
+                i = lowest[todo]
                 x, y = right[x][i], left[y][i]
                 todo = start[y] & ~finish[x]
             factors[j] = y
@@ -278,12 +299,14 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
             factors[j] = y = x
         if y == delta:
             del factors[j]
-            factors[:j] = map(tau.__getitem__, factors[:j])
+            factors[j:] = map(tau.__getitem__, factors[j:])
+            parity ^= 1
             power += 1
         if factors and not factors[-1]:
             factors.pop()
-    perms = t.perms
-    return GarsideNormalForm(n, power, [Permutation(perms[c]) for c in factors])
+    if parity:
+        factors = map(tau.__getitem__, factors)
+    return GarsideNormalForm(n, power, list(map(t.perms.__getitem__, factors)))
 
 
 def braid_equal(u: BraidWord, v: BraidWord) -> bool:

@@ -8,13 +8,13 @@ import sys
 
 import pytest
 
-from cgkernel.braids import (SIGMA_ACTION_TABLE, BraidWord, NonPureBraid,
-                             braid_action, braid_equal, braid_perm, braid_to_word,
-                             cardano_ferrari, delete_strand, delta_word, ell_word,
-                             expand_f2, f2_word, format_braid, generator_action,
+from cgkernel.braids import (SIGMA_ACTION_TABLE, BraidWord, GarsideNormalForm,
+                             NonPureBraid, braid_action, braid_equal, braid_perm,
+                             braid_to_word, cardano_ferrari, delete_strand, delta_word,
+                             ell_word, expand_f2, f2_word, format_braid, generator_action,
                              handle_reduce, handle_trivial, normal_form, parse_braid,
                              pure_gen)
-from cgkernel.perms import parse_cycles
+from cgkernel.perms import Permutation, parse_cycles
 from cgkernel.words import FreeHom, Word, compose, parse_word
 from cgkernel.intlin import hom_matrix, IntMatrix
 
@@ -125,6 +125,18 @@ class TestPermImage:
     def test_empty_word(self):
         assert braid_perm(BraidWord.identity(4)).is_identity()
 
+    def test_matches_the_product_of_transpositions(self):
+        # the product in word order, letter by letter: p * (i, i+1) swaps
+        # the values i and i+1 of p's one-line notation
+        rng = random.Random(31)
+        for n in range(2, 7):
+            for length in (0, 1, 2, 3, 50, 2000, *(rng.randint(0, 2000) for _ in range(6))):
+                word = rand_braid(rng, n, length, length)
+                m = list(range(1, n + 1))
+                for i, _ in word.letters:
+                    m = [i + 1 if x == i else i if x == i + 1 else x for x in m]
+                assert braid_perm(word).mapping == tuple(m)
+
 
 class TestGarside:
     def test_trivial_word(self):
@@ -170,6 +182,11 @@ class TestGarside:
 
     def test_distinct_generators_differ(self):
         assert not braid_equal(b("s1"), b("s2"))
+
+    @pytest.mark.parametrize("mapping", ((1, 2, 3, 4), (4, 3, 2, 1), (2, 1, 3)))
+    def test_form_rejects_trivial_half_twist_and_foreign_factors(self, mapping):
+        with pytest.raises(ValueError):
+            GarsideNormalForm(4, 0, (Permutation((2, 1, 3, 4)), Permutation(mapping)))
 
     def test_strand_cap(self):
         with pytest.raises(ValueError):
@@ -262,6 +279,18 @@ class TestLongWords:
             assert twin != word or word.n == 2  # B_2 has no braid relation
             assert normal_form(word * twin.inverse()).is_trivial()
 
+    @pytest.mark.parametrize("n", (4, 6))
+    def test_32000_mixed_letters(self, n):
+        # 6,571 and 9,639 half twists come out of these words; conjugating
+        # every factor before each one would touch 2.6-3.0 x 10^7 factors
+        rng = random.Random(24 + n)
+        word = rand_braid(rng, n, 32000, 32000)
+        nf = normal_form(word)
+        assert normal_form(nf.to_braid_word()) == nf
+        twin = relation_rewrite(rng, word, len(word))
+        assert twin != word
+        assert normal_form(word * twin.inverse()).is_trivial()
+
 
 class TestPowers:
     def test_power_equals_repeated_product(self):
@@ -329,10 +358,9 @@ class TestHandleReduction:
 
     @pytest.mark.slow
     def test_agrees_with_garside_on_8000_letter_pairs(self):
-        # At this length normal_form's conjugation of the factors before
-        # each half twist is still quadratic.  The B_6 pairs cost handle
-        # reduction the most: the equal one took 636,643 of the 1,000,000
-        # HANDLE_STEPS (2.2 s on a 2-core host) when this test was written.
+        # The B_6 pairs cost handle reduction the most: the equal one took
+        # 636,643 of the 1,000,000 HANDLE_STEPS (2.2 s on a 2-core host)
+        # when this test was written.
         rng = random.Random(23)
         verdicts = []
         for n in (4, 5, 6):
