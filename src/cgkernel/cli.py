@@ -13,7 +13,8 @@ import json
 import os
 import sys
 
-from .braids import braid_equal, braid_perm, format_braid, normal_form, parse_braid
+from .braids import (BraidWord, _perm_letters, braid_equal, braid_perm, format_braid, normal_form,
+                     parse_braid)
 from .checks import CHECK_IDS, Config, run_all
 from .fpgroups import (CosetLimitExceeded, parse_presentation, rewrite_in_subgroup,
                        subgroup_abelianization, todd_coxeter)
@@ -135,7 +136,11 @@ def _cmd_braid(args) -> int:
     if args.braid_command == "nf":
         nf = normal_form(words[0])
         parts = [f"Delta^{nf.delta_power}", "·"]
-        factor_words = [format_braid(w) for w in nf.factor_words()]
+        # the factors are the table's shared Permutations: each distinct
+        # factor object is spelled once
+        distinct = {id(f): f for f in nf.factors}
+        spelled = {k: format_braid(BraidWord(f.n, _perm_letters(f))) for k, f in distinct.items()}
+        factor_words = [spelled[id(f)] for f in nf.factors]
         print(" ".join(parts + [" · ".join(factor_words)]).rstrip())
     elif args.braid_command == "eq":
         print("equal" if braid_equal(words[0], words[1]) else "not equal")

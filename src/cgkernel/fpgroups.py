@@ -17,8 +17,9 @@ tables, Schreier generators, and rewritten presentations are reproducible
 run to run.  A free group is a presentation without relators, so the same
 table is the Schreier coset graph of a finite-index subgroup of a free group.
 
-One walk, `_walk`, reads a word from a coset over the Schreier tree's edge
-labels.  Rewriting subgroup words, Reidemeister-Schreier and
+One walk, `_walk_steps`, reads a word from a coset over the Schreier tree's
+edge labels, from the word's step table (`_steps`, one entry per letter,
+built once per word).  Rewriting subgroup words, Reidemeister-Schreier and
 `subgroup_abelianization` are views of it; the last streams each walk's
 exponent sums to `sparse_cokernel` and builds no `Word` or `Presentation`.
 """
@@ -110,7 +111,11 @@ def _exponent_rows(words: Iterable[Iterable[tuple[int, int]]]) -> Iterator[dict[
     for letters in words:
         row: dict[int, int] = {}
         for g, s in letters:
-            row[g - 1] = row.get(g - 1, 0) + s
+            g -= 1
+            if g in row:
+                row[g] += s
+            else:
+                row[g] = s
         if not all(row.values()):
             row = {j: x for j, x in row.items() if x}
         if row:
@@ -490,10 +495,10 @@ def coset_table_from_quotient(pres: Presentation, images: Sequence[Permutation],
     the elements are in standard numbering.  The regular action is walked
     with the images alone, one gather per point (`regular_orbit`).  Since the
     action is regular, each inverse column is the inverse permutation of its
-    forward column, and one `orbit` pass over the integer columns renumbers
-    the elements into standard numbering.  The index is the order of the
-    image group; when it passes ``max_cosets`` the walk stops there with
-    CosetLimitExceeded."""
+    forward column, and one `orbit` pass over the rows of the integer
+    columns, transposed once, renumbers the elements into standard
+    numbering.  The index is the order of the image group; when it passes
+    ``max_cosets`` the walk stops there with CosetLimitExceeded."""
     if len(images) != pres.ngens:
         raise ValueError("one image per generator")
     forward = regular_orbit(images, max_cosets)[1]
@@ -503,7 +508,8 @@ def coset_table_from_quotient(pres: Presentation, images: Sequence[Permutation],
     table = []
     for col in forward:
         table += col, sorted(cosets, key=col.__getitem__)
-    _, columns = orbit(0, lambda c: [col[c] for col in table])
+    # each coset's neighbours are its row: one C-level transpose of the columns
+    _, columns = orbit(0, list(zip(*table)).__getitem__)
     ct = CosetTable(pres, (), columns)
     # the action is regular, so a relator closes at coset 0 iff its image is 1
     for r in pres.relators:
@@ -544,35 +550,61 @@ def _check_rank(ct: CosetTable, w: Word) -> None:
                          f"table has {ct.presentation.ngens} generators")
 
 
-def _walk(ct: CosetTable, start: int, w: Word) -> tuple[list[tuple[int, int]], int]:
-    # The one reading of a word over the tree labels: w read from coset
-    # start as Schreier letters (label, sign), and its end coset.  The
-    # letters are freely reduced because w is: two adjacent Schreier letters
-    # k^s, k^-s cross the off-tree edge of k one way and then back, so the
-    # letters of w between them walk the tree from the coset where the first
-    # crossing ends to the same coset, where the second starts.  A reduced
-    # walk in a tree never returns to where it started, so that walk is
-    # empty, and the two letters of w that cross the edge would be adjacent
-    # inverses.
+def _steps(ct: CosetTable, w: Word) -> list[tuple[tuple[int, ...], int, int]]:
+    # w checked against the table's rank and made into one step per letter,
+    # (column, generator index, sign): the column tuple the letter moves
+    # along and the index of its edge label in a row of tree.labels.  Built
+    # once per word, it is walked from as many cosets as a caller needs.
     _check_rank(ct, w)
-    columns, labels = ct.columns, ct.tree.labels
+    columns = ct.columns
+    return [(columns[2 * i - 2], i - 1, 1) if s == 1 else (columns[2 * i - 1], i - 1, -1)
+            for i, s in w.letters]
+
+
+def _walk_steps(labels: Sequence[Sequence[int]], steps: Sequence[tuple[Sequence[int], int, int]],
+                start: int) -> tuple[list[tuple[int, int]], int]:
+    # The one reading of a word over the tree labels: the word's steps
+    # walked from coset start as Schreier letters (label, sign), and its end
+    # coset.  A positive letter crosses the edge from the coset it leaves, a
+    # negative one the edge into the coset it enters, so the label is read
+    # before the move or after it.  The letters are freely reduced because
+    # the word is: two adjacent Schreier letters k^s, k^-s cross the
+    # off-tree edge of k one way and then back, so the letters of the word
+    # between them walk the tree from the coset where the first crossing
+    # ends to the same coset, where the second starts.  A reduced walk in a
+    # tree never returns to where it started, so that walk is empty, and
+    # the two letters of the word that cross the edge would be adjacent
+    # inverses.
     letters = []
     c = start
-    for i, s in w.letters:
+    for col, g, s in steps:
         if s == 1:
-            k = labels[c][i - 1]
-            c = columns[2 * i - 2][c]
+            k = labels[c][g]
+            c = col[c]
         else:
-            c = columns[2 * i - 1][c]
-            k = labels[c][i - 1]
+            c = col[c]
+            k = labels[c][g]
         if k:
             letters.append((k, s))
     return letters, c
 
 
+def _walk(ct: CosetTable, start: int, w: Word) -> tuple[list[tuple[int, int]], int]:
+    """w read from coset start over the Schreier tree's edge labels: its
+    Schreier letters (label, sign) and its end coset.  The word's step
+    table (`_steps`: the rank check and one (column, generator index,
+    sign) per letter) is walked by `_walk_steps`, the one loop that reads
+    a word over the labels; a caller that walks one word from many cosets
+    builds its steps once and calls that loop itself."""
+    return _walk_steps(ct.tree.labels, _steps(ct, w), start)
+
+
 def _relator_walks(ct: CosetTable) -> Iterator[list[tuple[int, int]]]:
-    # each relator read from each coset, in (coset, relator) order
-    return (_walk(ct, c, r)[0] for c in range(ct.index) for r in ct.presentation.relators)
+    # each relator read from each coset, in (coset, relator) order, from
+    # one step table per relator
+    labels = ct.tree.labels
+    steps = [_steps(ct, r) for r in ct.presentation.relators]
+    return (_walk_steps(labels, s, c)[0] for c in range(ct.index) for s in steps)
 
 
 def reidemeister_schreier(ct: CosetTable) -> Presentation:

@@ -274,29 +274,40 @@ def sparse_cokernel(rows: Iterable[dict[int, int]], ncols: int) -> AbelianStruct
         # the row in the root columns, as a new dict without zero entries
         new: dict[int, int] = {}
         for j, x in row.items():
-            if up[j] != j:
-                path = []
-                while up[j] != j:
-                    path.append(j)
-                    j = up[j]
-                s = 1
-                for k in reversed(path):  # compress: each on the path points at the root
-                    s *= sign[k]
-                    up[k], sign[k] = j, s
-                if j == ncols:
-                    continue
-                x *= s
-            new[j] = new.get(j, 0) + x
+            r = up[j]
+            if r != j:
+                if up[r] == r:  # one step from its root, which may be 0
+                    if r == ncols:
+                        continue
+                    x *= sign[j]
+                    j = r
+                else:
+                    path = []
+                    while up[j] != j:
+                        path.append(j)
+                        j = up[j]
+                    s = 1
+                    for k in reversed(path):  # compress: each on the path points at the root
+                        s *= sign[k]
+                        up[k], sign[k] = j, s
+                    if j == ncols:
+                        continue
+                    x *= s
+            if j in new:
+                new[j] += x
+            else:
+                new[j] = x
         if not all(new.values()):
             new = {j: x for j, x in new.items() if x}
         return new
 
+    in_span = span.__contains__
     kept: dict[int, dict[int, int]] = {}
     for i, row in enumerate(rows):
-        if not all(map(span.__contains__, row)) or not all(row.values()):
+        if not all(map(in_span, row)) or not all(row.values()):
             raise ValueError(f"row {i} has a zero entry or a column outside 0..{ncols - 1}")
         new = rewrite(row)
-        if len(new) > 2 or not all(x == 1 or x == -1 for x in new.values()):
+        if len(new) > 2 or not {1, -1}.issuperset(new.values()):
             kept[i] = new
         elif len(new) == 1:  # +-e_p = 0
             (p, _), = new.items()
@@ -327,22 +338,23 @@ def sparse_cokernel(rows: Iterable[dict[int, int]], ncols: int) -> AbelianStruct
         del kept[r]
         for j in row:
             where[j].discard(r)
+        del row[c]  # the rest of the pivot row, a dict of kept's own
         for i in where.pop(c):
             other = kept[i]
             f = other.pop(c) * x  # other -= f * row clears column c
             for j, y in row.items():
-                if j == c:
-                    continue
-                v = other.get(j, 0) - f * y
-                if v:
-                    if j not in other:
-                        where[j].add(i)
-                    other[j] = v
-                    if v == 1 or v == -1:
-                        heappush(heap, ((len(other) - 1) * (len(where[j]) - 1), i, j))
-                else:
-                    del other[j]
-                    where[j].discard(i)
+                if j in other:
+                    v = other[j] - f * y
+                    if not v:
+                        del other[j]
+                        where[j].discard(i)
+                        continue
+                else:  # f * y != 0: a new entry
+                    v = -f * y
+                    where[j].add(i)
+                other[j] = v
+                if v == 1 or v == -1:
+                    heappush(heap, ((len(other) - 1) * (len(where[j]) - 1), i, j))
             if not other:
                 del kept[i]
     live = sorted(j for j, rs in where.items() if rs)
@@ -381,11 +393,11 @@ def rank_q(a: IntMatrix) -> int:
 def _rank_q(rows: Iterable[dict[int, int]]) -> int:
     """Rank over Q of sparse rows {column: nonzero entry}, by sparse
     fraction-free elimination (Bareiss 1968, on sparse rows); the dicts are
-    taken over and changed.  Each step pivots on a shortest row, at its
-    column held by the fewest rows, and drops that row; every other row
-    f*e_c + ... holding the pivot column c becomes (p/g)*row -
-    (f/g)*pivot_row, with p the pivot and g = gcd(p, f), and is then
-    divided by the gcd of its entries.  Each update scales a row by a
+    taken over and changed.  Each step pivots on the first shortest row in
+    arrival order, at its column held by the fewest rows, and drops that
+    row; every other row f*e_c + ... holding the pivot column c becomes
+    (p/g)*row - (f/g)*pivot_row, with p the pivot and g = gcd(p, f), and is
+    then divided by the gcd of its entries.  Each update scales a row by a
     nonzero integer and adds a multiple of the pivot row, so the row space
     over Q keeps its dimension, and each step removes one pivot column and
     one row from it: the rank is the number of steps.  Shares no
@@ -399,7 +411,9 @@ def _rank_q(rows: Iterable[dict[int, int]]) -> int:
                 where.setdefault(j, set()).add(i)
     rank = 0
     while kept:
-        r = min(kept, key=lambda i: len(kept[i]))
+        # the first shortest row in arrival order
+        lengths = list(map(len, kept.values()))
+        r = list(kept)[lengths.index(min(lengths))]
         pivot = kept.pop(r)
         for j in pivot:
             where[j].discard(r)
@@ -414,14 +428,16 @@ def _rank_q(rows: Iterable[dict[int, int]]) -> int:
                 for j in row:
                     row[j] *= s
             for j, y in pivot.items():
-                v = row.get(j, 0) - t * y
-                if v:
-                    if j not in row:
-                        where[j].add(i)
-                    row[j] = v
-                else:
-                    del row[j]
-                    where[j].discard(i)
+                if j in row:
+                    v = row[j] - t * y
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+                        where[j].discard(i)
+                else:  # t * y != 0: a new entry
+                    row[j] = -t * y
+                    where[j].add(i)
             if not row:
                 del kept[i]
                 continue

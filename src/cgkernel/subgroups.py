@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .fpgroups import CosetTable, Presentation, _walk, coset_table_from_quotient
+from .fpgroups import CosetTable, Presentation, _steps, _walk_steps, coset_table_from_quotient
 from .perms import DEFAULT_MAX_COSETS, Permutation
 from .words import Aut, FreeHom, Word, _inverse, _join
 
@@ -41,7 +41,9 @@ def restrict_hom(ct: CosetTable, f: Aut) -> FreeHom:
     [H : f(H)] = 1.  f^-1 is never read.
 
     No whole image word is built.  A block is the image under f of one
-    letter, read from one coset over the tree labels by `_walk`.  reads[c],
+    letter, read from one coset over the tree labels by `_walk_steps`; each
+    letter's image is made into its step table once (`_steps`, 2 * rank
+    words) and walked from every coset that needs it.  reads[c],
     the reading of f(r_c) from coset 0, is reads[parent] joined with the
     block of c's tree letter, and ends at coset ends[c].  The basis element
     u = r_c g r_d^-1 of the off-tree edge (c, g), d = c.g, then reads as
@@ -54,21 +56,22 @@ def restrict_hom(ct: CosetTable, f: Aut) -> FreeHom:
     if f.rank != ct.presentation.ngens:
         raise ValueError("rank mismatch")
     tree, columns, n = ct.tree, ct.columns, ct.index
-    # the image of x_g^s under f, for every letter
-    images = {(g, s): im if s == 1 else im.inverse()
-              for g, im in enumerate(f.fwd.images, 1) for s in (1, -1)}
+    labels = tree.labels
+    # the steps of the image of x_g^s under f, for every letter
+    steps = {(g, s): _steps(ct, im if s == 1 else im.inverse())
+             for g, im in enumerate(f.fwd.images, 1) for s in (1, -1)}
     reads: list[tuple] = [()] * n
     ends = [0] * n
     for c in range(1, n):  # a parent is numbered below its child
         p, let = tree.parent[c], tree.letter[c]
-        block, ends[c] = _walk(ct, ends[p], images[let])
+        block, ends[c] = _walk_steps(labels, steps[let], ends[p])
         reads[c] = _join(reads[p], tuple(block))
     basis_images = []
-    for c, row in enumerate(tree.labels):
+    for c, row in enumerate(labels):
         for g, k in enumerate(row, 1):
             if k:
                 d = columns[2 * g - 2][c]
-                block, end = _walk(ct, ends[c], images[g, 1])
+                block, end = _walk_steps(labels, steps[g, 1], ends[c])
                 if end != ends[d]:
                     raise NotStabilized("automorphism does not stabilize the subgroup")
                 basis_images.append(_join(_join(reads[c], tuple(block)), _inverse(reads[d])))

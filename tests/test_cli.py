@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cgkernel
-from cgkernel import perms
+from cgkernel import cli, perms
 from cgkernel.braids import BraidWord, format_braid, normal_form
 from cgkernel.cli import main
 from cgkernel.fpgroups import format_presentation, sl2z_presentation
@@ -156,6 +156,24 @@ class TestBraid:
         head, *groups = out.rstrip("\n").split(" · ")
         assert code == 0 and head == f"Delta^{nf.delta_power}"
         assert groups == [format_braid(f) for f in nf.factor_words()] and groups
+
+    def test_nf_spells_each_distinct_factor_once(self, capsys, monkeypatch):
+        # the factors are the table's shared Permutations, so the 2,000
+        # factors of s1^2000 are one object, spelled once
+        spelled = []
+        spell = cli._perm_letters
+
+        def recording_spell(p):
+            spelled.append(p)
+            return spell(p)
+
+        monkeypatch.setattr(cli, "_perm_letters", recording_spell)
+        code, out, _ = run_cli(capsys, "braid", "nf", "-n", "4", "s1^2000")
+        assert code == 0 and out == "Delta^0 · " + " · ".join(["s1"] * 2000) + "\n"
+        word = BraidWord(6, [(i % 5 + 1, 1 - 2 * (i % 3 == 0)) for i in range(300)])
+        factors = normal_form(word).factors
+        run_cli(capsys, "braid", "nf", "-n", "6", format_braid(word))
+        assert len(spelled) == 1 + len(set(map(id, factors))) < 1 + len(factors)
 
     def test_eq_long_powers(self, capsys):
         code, out, _ = run_cli(capsys, "braid", "eq", "-n", "4",

@@ -855,6 +855,50 @@ class TestSubgroupAbelianization:
             == AbelianStructure(662)
 
 
+def shared_walk_tables():
+    """trusted_word_tables() (regular S_4/S_5 kernels among them) and the
+    quotient tables of Gamma(2)-Gamma(7), K_4 and Gamma+."""
+    yield from trusted_word_tables()
+    for name in [f"gamma{n}" for n in range(2, 8)] + ["k4", "gammaplus"]:
+        yield QUOTIENT_TABLES[name]()
+
+
+class TestSharedWalk:
+    """Each view of the walk against `_walk` read one word at a time, and
+    `_walk` against the words its letters expand to."""
+
+    def test_relators_are_the_walks_in_coset_relator_order(self):
+        for ct in shared_walk_tables():
+            nsub = ct.tree.nsub
+            walks = []
+            for c in range(ct.index):
+                for r in ct.presentation.relators:
+                    letters, end = fpgroups._walk(ct, c, r)
+                    assert end == c
+                    if letters:
+                        walks.append(Word(nsub, letters).cyclically_reduced())
+            rs = reidemeister_schreier(ct)
+            assert rs.ngens == nsub and rs.relators == tuple(walks)
+            assert subgroup_abelianization(ct) == abelianization(rs)
+
+    def test_walk_letters_expand_to_the_path_they_read(self):
+        # w read from coset c to coset d gives Schreier letters that expand
+        # to r_c w r_d^-1, the representatives being spelled down the tree
+        rng = random.Random(33)
+        for ct in shared_walk_tables():
+            ngens, nsub = ct.presentation.ngens, ct.tree.nsub
+            reps = [Word.identity(ngens)]
+            for c in range(1, ct.index):
+                reps.append(reps[ct.tree.parent[c]] * Word(ngens, [ct.tree.letter[c]]))
+            for _ in range(40):
+                w = Word(ngens, [(rng.randint(1, ngens), rng.choice((1, -1)))
+                                 for _ in range(rng.randint(0, 10))])
+                c = rng.randrange(ct.index)
+                letters, d = fpgroups._walk(ct, c, w)
+                assert d == ct.trace(c, w)
+                assert ct.basis_hom(Word(nsub, letters)) == reps[c] * w * reps[d].inverse()
+
+
 class TestToddCoxeterAgainstTheRegularAction:
     # two producers of one table: standard numbering is unique, so Todd-Coxeter
     # on the kernel's whole Schreier basis must give the quotient table column

@@ -252,6 +252,26 @@ def unit_rich_cases():
         yield IntMatrix(data, cols=cols)
 
 
+# Ingest moves that leave column 0 one step from its root 1 with sign -1
+# (e0 = -e1), column 2 one step from the zero node, and column 3 two steps
+# deep (e3 = e4 = -e5) until a row names it
+ROOT_DEPTH_MOVES = [{0: 1, 1: 1}, {2: -1}, {3: 1, 4: -1}, {4: 1, 5: 1}]
+
+
+def root_depth_cases():
+    """Seeded cases as (rows, m) over 7 columns: ROOT_DEPTH_MOVES, then a
+    row naming columns 3, 0 and 2 (in that order) with non-unit entries,
+    then 0-5 random rows of 1-4 entries over all seven columns."""
+    rng = random.Random(35)
+    for _ in range(300):
+        rows = [dict(row) for row in ROOT_DEPTH_MOVES]
+        rows.append({j: rng.choice((2, -2, 3, -3)) for j in (3, 0, 2, 6)[:rng.randint(3, 4)]})
+        for _ in range(rng.randint(0, 5)):
+            cols = rng.sample(range(7), rng.randint(1, 4))
+            rows.append({j: rng.choice((1, -1, 2, -2, 3)) for j in cols})
+        yield rows, IntMatrix([[row.get(j, 0) for j in range(7)] for row in rows], cols=7)
+
+
 def ingest_cases():
     """INGEST_CASES and unit_rich_cases as (rows, m), like sparse_cases."""
     for m, _ in INGEST_CASES:
@@ -301,6 +321,16 @@ class TestSparseCokernel:
             assert sparse_cokernel(rows, m.cols) == cokernel(m) == snf_structure(m)
         assert min(shapes.values()) >= 333
         assert [snf_structure(m) for m, _ in INGEST_CASES] == [ab for _, ab in INGEST_CASES]
+
+    def test_columns_one_step_and_two_steps_from_their_roots(self):
+        # rewrite's one-step path (a merged column with its sign, a zeroed
+        # column) and its path-compressing walk, against the dense SNF
+        answers = set()
+        for rows, m in root_depth_cases():
+            ab = sparse_cokernel(rows, m.cols)
+            assert ab == snf_structure(m), format_matrix(m)
+            answers.add(ab)
+        assert len(answers) >= 10  # the cases are not one quotient over and over
 
     def test_every_unit_entry_is_eliminated_before_snf(self, remainders):
         # each unit entry keeps a live heap record until it is pivoted on or
@@ -637,6 +667,27 @@ class TestRankQ:
             r = rank_q(a)
             assert r == a.cols - cokernel(a).free_rank, format_matrix(a)
             assert r == rank_q(transpose(a)), format_matrix(a)
+
+    def test_ties_among_the_shortest_rows(self):
+        # most rows have two entries, so each step picks among equally short
+        # rows; the rank must not depend on which
+        rng = random.Random(36)
+        ties = 0
+        for _ in range(200):
+            rows, cols = rng.randint(3, 9), rng.randint(3, 9)
+            data = []
+            for _ in range(rows):
+                row = [0] * cols
+                k = 2 if rng.random() < 0.75 else rng.randint(3, cols)
+                for j in rng.sample(range(cols), k):
+                    row[j] = rng.choice((1, -1, 2, -3, 5))
+                data.append(row)
+            a = IntMatrix(data, cols=cols)
+            ties += sorted(map(len, intlin._sparse_rows(a)))[:2] == [2, 2]
+            r = rank_q(a)
+            assert r == rank_q(transpose(a)) == a.cols - snf_structure(a).free_rank, \
+                format_matrix(a)
+        assert ties >= 150
 
     def test_shares_no_code_with_the_snf_path(self):
         names = set(intlin.rank_q.__code__.co_names) | set(intlin._rank_q.__code__.co_names)

@@ -1,6 +1,7 @@
 """Packaging facts: the package runs on the standard library alone,
-importing it loads no more of that library than it uses, and one class
-alone writes immutability, equality and hashing."""
+importing it loads no more of that library than it uses, one class alone
+writes immutability, equality and hashing, and one loop alone reads words
+over the Schreier tree's labels."""
 
 import ast
 import importlib.util
@@ -60,6 +61,30 @@ def test_only_the_record_base_defines_immutability_equality_and_hashing():
                     continue
                 found += [f"{path.name}: {cls.name}.{name}" for name in names if name in special]
     assert sorted(found) == [f"words.py: _Record.{name}" for name in sorted(special)]
+
+
+def test_only_the_walking_loop_indexes_the_tree_labels():
+    # fpgroups._walk_steps is the one loop that reads a word over the
+    # Schreier tree's edge labels, letter by letter; CosetTable.basis reads
+    # one label per edge of the table.  A subscript of the labels anywhere
+    # else would be a second copy of the walk, which should share that loop
+    found = []
+
+    def visit(node, path, qualname):
+        for child in ast.iter_child_nodes(node):
+            name = qualname
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{qualname}.{child.name}" if qualname else child.name
+            elif isinstance(child, ast.Subscript):
+                base = child.value
+                if ((isinstance(base, ast.Name) and base.id == "labels")
+                        or (isinstance(base, ast.Attribute) and base.attr == "labels")):
+                    found.append(f"{path.name}: {qualname}")
+            visit(child, path, name)
+
+    for path in sorted(pathlib.Path(cgkernel.__file__).parent.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, "")
+    assert sorted(set(found)) == ["fpgroups.py: CosetTable.basis", "fpgroups.py: _walk_steps"]
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_ast_or_typing():

@@ -11,7 +11,7 @@ from cgkernel.subgroups import NotStabilized, expand, from_quotient, restrict_ho
 from cgkernel.words import (Aut, FreeHom, Word, compose, parse_word, transvection,
                             verify_automorphism)
 
-from test_fpgroups import translations
+from test_fpgroups import shared_walk_tables, translations
 from test_intlin import RESTRICTED_STABILIZER_MATS
 
 
@@ -221,3 +221,34 @@ def test_restriction_matches_rewriting_whole_images():
                            for im in got.images)
                 stabilized += 1
     assert stabilized >= 40 and rejected >= 20
+
+
+def conjugation(u):
+    """The inner automorphism x -> u x u^-1, with its inverse."""
+    rank = u.rank
+    gens = [Word.gen(rank, i) for i in range(1, rank + 1)]
+    return Aut(FreeHom(rank, rank, tuple(g.conjugate(u) for g in gens)),
+               FreeHom(rank, rank, tuple(g.conjugate(u.inverse()) for g in gens)))
+
+
+def test_restriction_matches_rewriting_whole_images_on_the_walk_tables():
+    # the tables of the shared-walk differential, read as subgroups of the
+    # free group on their generators: conjugation by a basis element and
+    # the identity stabilize each, random Nielsen products mostly do not
+    rng = random.Random(34)
+    stabilized = rejected = 0
+    for ct in shared_walk_tables():
+        rank = ct.presentation.ngens
+        auts = [Aut.identity(rank), conjugation(ct.basis[-1])]
+        auts += [random_nielsen_product(rng, rank) for _ in range(2)]
+        for f in auts:
+            try:
+                want = restrict_hom_by_whole_words(ct, f)
+            except NotStabilized:
+                with pytest.raises(NotStabilized):
+                    restrict_hom(ct, f)
+                rejected += 1
+            else:
+                assert restrict_hom(ct, f) == want
+                stabilized += 1
+    assert stabilized >= 2 * 19 and rejected >= 10
